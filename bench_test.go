@@ -862,13 +862,13 @@ func BenchmarkTracedVsUntraced(b *testing.B) {
 		})
 }
 
-// BenchmarkPlanExecutorVsSerial measures the cell-graph scheduler's
-// win: the full 14-attack x 4-eps suite on the parallel local executor
+// BenchmarkPlanExecutorVsSerial measures the parallel local
+// executor's win: the full 14-attack x 4-eps suite on the parallel local executor
 // (4 workers) against the serial path, interleaved round by round via
 // pairedRel so the ratio is load-robust. Fresh engines (and so fresh
 // caches) per run keep every round crafting from scratch; Spec.Workers
 // is pinned to 1 so within-cell crafting parallelism does not mask the
-// scheduler's contribution. The paired-rel entry is recorded ungated
+// executor's contribution. The paired-rel entry is recorded ungated
 // in BENCH_axnn.json — the parallel ratio depends on the host's core
 // count:
 //

@@ -139,14 +139,12 @@ type CacheStats struct {
 	DiskPredMisses  int64
 	DiskErrors      int64
 	// Store-level counters surfaced from the backing store.Store:
-	// bloom-admission rejects (cold-key lookups answered without a
-	// probe), records dropped by size-bounded segment GC, corrupt
-	// records skipped on open/read, and the live key/byte footprint.
-	DiskAdmissionRejects int64
-	DiskGCEvictions      int64
-	DiskCorruptRecords   int64
-	DiskKeys             int64
-	DiskBytes            int64
+	// records dropped by size-bounded segment GC, corrupt records
+	// skipped on open/read, and the live key/byte footprint.
+	DiskGCEvictions    int64
+	DiskCorruptRecords int64
+	DiskKeys           int64
+	DiskBytes          int64
 }
 
 // Stats snapshots the cache's counters. Safe for concurrent use; the
@@ -171,7 +169,6 @@ func (c *Cache) Stats() CacheStats {
 	}
 	if c.disk != nil {
 		ds := c.disk.Stats()
-		s.DiskAdmissionRejects = ds.BloomRejects
 		s.DiskGCEvictions = ds.GCEvictedRecords
 		s.DiskCorruptRecords = ds.CorruptRecords
 		s.DiskKeys = ds.Keys
@@ -430,32 +427,6 @@ func (c *Cache) cleanBatch(test *dataset.Set) (*tensor.T, bool, error) {
 	}
 	c.craftMisses.Add(1)
 	return c.storeCrafted(key, tensor.Stack(test.X)), false, nil
-}
-
-// CraftedCached reports whether CraftedBatch would return the cell's
-// batch without crafting — the memory memo already holds it, or the
-// persistent tier's index knows the key. Cell schedulers use it to
-// prioritise hit cells over cold ones; a wrong answer only reorders
-// work, so the disk probe is index-only (no read, no decode, no
-// shape check).
-func (c *Cache) CraftedCached(src *nn.Network, test *dataset.Set, atk attack.Attack, eps float64, opts Options) bool {
-	if test.Len() == 0 {
-		return false
-	}
-	epsQ := EpsKey(eps)
-	if epsQ == 0 {
-		_, ok := c.craft.Load(craftKey{first: test.X[0], n: test.Len()})
-		return ok
-	}
-	key := craftKey{
-		src: src, srcFP: src.WeightsFingerprint(),
-		first: test.X[0], n: test.Len(),
-		attack: attack.ConfigKey(atk), epsQ: epsQ, seed: opts.Seed,
-	}
-	if _, ok := c.craft.Load(key); ok {
-		return true
-	}
-	return c.disk != nil && c.disk.Has(craftDiskKey(src, test, key.attack, epsQ, opts.Seed))
 }
 
 // Predictions scores one victim over the crafted batch, using the

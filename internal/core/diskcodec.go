@@ -55,6 +55,9 @@ func decodeTensor(buf []byte) (*tensor.T, error) {
 		return nil, fmt.Errorf("core: bad tensor rank %d", ndims)
 	}
 	shape := make([]int, ndims)
+	// Bounding the running volume by what the payload can hold keeps
+	// vol small enough that the next product cannot overflow.
+	maxVol := (len(buf) - 4*int(ndims)) / 4
 	vol := 1
 	for i := range shape {
 		d := binary.LittleEndian.Uint32(buf[4*i:])
@@ -62,7 +65,9 @@ func decodeTensor(buf []byte) (*tensor.T, error) {
 			return nil, fmt.Errorf("core: bad tensor dim %d", d)
 		}
 		shape[i] = int(d)
-		vol *= int(d)
+		if vol *= int(d); vol > maxVol {
+			return nil, fmt.Errorf("core: tensor shape %v overruns its payload", shape[:i+1])
+		}
 	}
 	buf = buf[4*ndims:]
 	if len(buf) != 4*vol {
@@ -94,8 +99,8 @@ func decodePreds(buf []byte) ([]int, error) {
 	buf = buf[len(predsMagic):]
 	n := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
-	if len(buf) != 4*int(n) {
-		return nil, fmt.Errorf("core: predictions payload %d bytes, want %d", len(buf), 4*n)
+	if uint64(len(buf)) != 4*uint64(n) {
+		return nil, fmt.Errorf("core: predictions payload %d bytes, want %d", len(buf), 4*uint64(n))
 	}
 	preds := make([]int, n)
 	for i := range preds {

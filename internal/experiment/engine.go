@@ -99,13 +99,14 @@ func (e *Engine) emit(ev Event) {
 // batches and victim predictions deduplicated through the engine's
 // cache. Cancellation via ctx is observed at cell and chunk
 // granularity; Run then returns ctx.Err() with no partial results
-// memoised and no goroutines leaked.
+// memoised and no goroutines leaked. Under the default serial executor
+// cells run one at a time in plan order.
 //
 // The numbers are identical to running core.RobustnessGrid once per
 // attack with the same options: the plan/executor split only changes
-// who owns the cache and in what order cells run, never the protocol —
-// and the Report is assembled in plan order, so the bytes don't depend
-// on the executor either.
+// who owns the cache and how many cells run at once, never the
+// protocol — and the Report is assembled in plan order, so the bytes
+// don't depend on the executor either.
 func (e *Engine) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	_, sp := obs.Start(ctx, "plan")
 	plan, err := spec.Plan()
@@ -120,7 +121,7 @@ func (e *Engine) Run(ctx context.Context, spec *Spec) (*Report, error) {
 // subset of its grids — the shard server's path) and executes it.
 func (e *Engine) RunPlan(ctx context.Context, plan *Plan) (*Report, error) {
 	// bind gets its own span (model resolution can train hardened
-	// victims on first use); Execute keeps the original ctx so grid
+	// victims on first use); Execute keeps the original ctx so cell
 	// spans parent directly under the caller's suite span.
 	_, sp := obs.Start(ctx, "bind")
 	run, err := e.bind(ctx, plan)

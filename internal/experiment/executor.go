@@ -12,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
 // cellHist times whole cells (craft + all victim evaluations) — the
@@ -33,12 +32,11 @@ type Executor interface {
 // counts cells this process executed through its own executor,
 // Remote cells a peer executed for this node's sharded jobs, and
 // Fallback the subset of Local re-executed here after a peer shard
-// failed. Ready is a gauge of cell-graph nodes currently ready to run.
+// failed.
 type SchedCounters struct {
 	Local    atomic.Int64
 	Remote   atomic.Int64
 	Fallback atomic.Int64
-	Ready    atomic.Int64
 }
 
 // PlanRun is a plan bound to its runtime inputs — resolved models,
@@ -61,232 +59,108 @@ type PlanRun struct {
 // Plan returns the plan this run was bound from.
 func (r *PlanRun) Plan() *Plan { return r.plan }
 
-// cellState accumulates one cell's results as its craft and evaluate
-// nodes complete.
-type cellState struct {
-	adv     *tensor.T
-	hit     bool
-	start   time.Time
-	elapsed time.Duration
+// cellResult is one completed cell's victim row and timing.
+type cellResult struct {
 	row     []float64
-	pending int // evaluate nodes still outstanding
-	// ctx/span carry the cell's trace context from its craft node to
-	// its evaluate nodes, so predict spans nest under the cell span.
-	// Written in runCraft's critical section, read by evaluate nodes
-	// that only exist after it — ordered by the scheduler mutex.
-	ctx  context.Context
-	span *obs.SpanHandle
+	hit     bool
+	elapsed time.Duration
 }
 
-// evalNode is one (cell, victim) evaluation, runnable once the cell's
-// batch is crafted.
-type evalNode struct {
-	cell   int // index into plan.Cells
-	victim int
-}
-
-// LocalExecutor schedules a plan's cell graph over a bounded worker
-// pool in this process. Craft nodes are all initially ready; each
-// completed craft unlocks the cell's per-victim evaluate nodes, and a
-// cell's CellFinished event fires when its last evaluation lands.
+// LocalExecutor runs a plan's cells in this process on a pool of
+// Parallel workers. Each worker claims the next cell in plan order and
+// runs it whole: craft the batch, then score it on every victim. The
+// first cell error cancels the other workers and is returned.
 //
-// Scheduling order: evaluate nodes first (finishing an in-flight cell
-// beats starting a new one), then craft nodes whose batch the cache
-// already holds (a hit costs microseconds and may unlock work for
-// idle workers), then plan order. With Parallel <= 1 this degenerates
-// to exactly the serial engine's sweep — same cell order, same event
-// order, emitted from a single goroutine.
-//
-// Reports are assembled in plan order after all cells complete, so the
-// bytes are identical whatever the completion order was.
+// With Parallel <= 1 cells run one after another in plan order and
+// every event is emitted from one goroutine. With more workers, cells
+// start in plan order but finish, and emit, in whatever order they
+// complete. Reports are assembled in plan order after all cells
+// complete, so the bytes are identical whatever the completion order
+// was.
 type LocalExecutor struct {
-	// Parallel is the number of cells (craft or evaluate nodes) in
-	// flight at once; 0 or 1 means serial. Within-cell crafting
-	// parallelism is still governed by Spec.Workers.
+	// Parallel is the number of cells in flight at once; 0 or 1 means
+	// serial. Within-cell crafting parallelism is still governed by
+	// Spec.Workers.
 	Parallel int
-	// Counters, when non-nil, receives scheduler counts (Local,
-	// Ready); Remote/Fallback are the sharded scheduler's.
+	// Counters, when non-nil, counts the cells run here in Local;
+	// Remote/Fallback are the sharded scheduler's.
 	Counters *SchedCounters
 }
 
 func (x *LocalExecutor) Execute(ctx context.Context, run *PlanRun) (*Report, error) {
-	plan := run.plan
-	n := len(plan.Cells)
-	workers := x.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	n := len(run.plan.Cells)
+	workers := min(max(x.Parallel, 1), n)
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
-	var (
-		mu         sync.Mutex
-		cond       = sync.NewCond(&mu)
-		craftReady = make([]int, 0, n) // cell indices, plan order
-		evalReady  []evalNode          // FIFO
-		states     = make([]cellState, n)
-		cellsDone  int
-		runErr     error
-	)
-	for i := range plan.Cells {
-		craftReady = append(craftReady, i)
-	}
-	// Per-grid spans open lazily at the grid's first craft and close
-	// when its last cell finishes, so the trace shows grid phases even
-	// though the scheduler interleaves grids freely.
-	gridCtx := make([]context.Context, len(plan.Grids))
-	gridSpan := make([]*obs.SpanHandle, len(plan.Grids))
-	gridLeft := make([]int, len(plan.Grids))
-	for _, c := range plan.Cells {
-		gridLeft[c.Grid]++
-	}
-	gauge := func() {
-		if x.Counters != nil {
-			x.Counters.Ready.Store(int64(len(craftReady) + len(evalReady)))
-		}
-	}
-	gauge()
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		cond.Broadcast()
-		mu.Unlock()
-	}
-
-	runCraft := func(ci int) {
-		cell := plan.Cells[ci]
-		st := &states[ci]
-		mu.Lock()
-		if gridCtx[cell.Grid] == nil {
-			gridCtx[cell.Grid], gridSpan[cell.Grid] = obs.Start(ctx, "grid",
-				obs.Attr{Key: "attack", Value: plan.Grids[cell.Grid]})
-		}
-		st.ctx, st.span = obs.Start(gridCtx[cell.Grid], "cell",
-			obs.Attr{Key: "attack", Value: cell.Attack},
-			obs.Attr{Key: "eps", Value: strconv.FormatFloat(cell.Eps, 'g', -1, 64)},
-			obs.Attr{Key: "cell", Value: strconv.Itoa(cell.Index)})
-		mu.Unlock()
-		//axvet:ignore determinism -- wall-clock start for the ElapsedMS metric, which report comparisons normalize
-		st.start = time.Now()
-		run.emit(Event{Kind: CellStarted, Suite: plan.spec.Name, Attack: cell.Attack, Eps: cell.Eps, Cell: cell.Index, Cells: plan.Total})
-		adv, hit, err := run.cache.CraftedBatch(st.ctx, run.src, run.test, run.atks[cell.Grid], cell.Eps, run.opts)
-		if err != nil {
-			fail(err)
-			return
-		}
-		run.emit(Event{Kind: cacheKind(hit), Suite: plan.spec.Name, Attack: cell.Attack, Eps: cell.Eps, Cell: cell.Index, Cells: plan.Total})
-		mu.Lock()
-		st.adv, st.hit = adv, hit
-		st.row = make([]float64, len(run.models))
-		st.pending = len(run.models)
-		for vi := range run.models {
-			evalReady = append(evalReady, evalNode{cell: ci, victim: vi})
-		}
-		gauge()
-		cond.Broadcast()
-		mu.Unlock()
-	}
-
-	runEval := func(nd evalNode) {
-		cell := plan.Cells[nd.cell]
-		st := &states[nd.cell]
-		preds, _, err := run.cache.Predictions(st.ctx, run.models[nd.victim], st.adv, run.opts)
-		if err != nil {
-			fail(err)
-			return
-		}
-		rob := core.Robustness(preds, run.test.Y)
-		mu.Lock()
-		st.row[nd.victim] = rob
-		st.pending--
-		finished := st.pending == 0
-		gridDone := false
-		if finished {
-			st.elapsed = time.Since(st.start)
-			cellsDone++
-			gridLeft[cell.Grid]--
-			gridDone = gridLeft[cell.Grid] == 0
-		}
-		cond.Broadcast()
-		mu.Unlock()
-		if finished {
-			st.span.End()
-			cellHist.Observe(st.elapsed)
-			if gridDone {
-				gridSpan[cell.Grid].End()
-			}
-			if x.Counters != nil {
-				x.Counters.Local.Add(1)
-			}
-			run.emit(Event{Kind: CellFinished, Suite: plan.spec.Name, Attack: cell.Attack, Eps: cell.Eps, Cell: cell.Index, Cells: plan.Total, CacheHit: st.hit, Elapsed: st.elapsed})
-		}
-	}
-
-	work := func() {
-		for {
-			mu.Lock()
-			for runErr == nil && cellsDone < n && len(evalReady) == 0 && len(craftReady) == 0 {
-				cond.Wait()
-			}
-			if runErr != nil || cellsDone == n {
-				mu.Unlock()
-				return
-			}
-			if len(evalReady) > 0 {
-				nd := evalReady[0]
-				evalReady = evalReady[1:]
-				gauge()
-				mu.Unlock()
-				runEval(nd)
-				continue
-			}
-			// Among ready craft nodes, prefer the first (plan order)
-			// whose batch is already cached; otherwise plan order.
-			pick := 0
-			for i, ci := range craftReady {
-				c := plan.Cells[ci]
-				if run.cache.CraftedCached(run.src, run.test, run.atks[c.Grid], c.Eps, run.opts) {
-					pick = i
-					break
-				}
-			}
-			ci := craftReady[pick]
-			craftReady = append(craftReady[:pick], craftReady[pick+1:]...)
-			gauge()
-			mu.Unlock()
-			// The serial engine checked ctx once per cell; keep that
-			// granularity so a cancelled fully-cached sweep still errors.
-			if err := ctx.Err(); err != nil {
-				fail(err)
-				return
-			}
-			runCraft(ci)
-		}
-	}
-
+	results := make([]cellResult, n)
+	var next, done atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			for {
+				i := int(next.Add(1) - 1)
+				// Checking ctx per cell keeps a cancelled, fully cached
+				// sweep from completing.
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				res, err := x.runCell(ctx, run, i)
+				if err != nil {
+					cancel(err)
+					return
+				}
+				results[i] = res
+				done.Add(1)
+			}
 		}()
 	}
 	wg.Wait()
-	if x.Counters != nil {
-		x.Counters.Ready.Store(0)
+	if done.Load() < int64(n) {
+		return nil, context.Cause(ctx)
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return run.assemble(states), nil
+	return run.assemble(results), nil
 }
 
-// assemble builds the Report in plan order from completed cell states.
-func (r *PlanRun) assemble(states []cellState) *Report {
+// runCell crafts cell ci's batch and scores it on every victim, inside
+// one cell span.
+func (x *LocalExecutor) runCell(ctx context.Context, run *PlanRun, ci int) (cellResult, error) {
+	plan := run.plan
+	cell := plan.Cells[ci]
+	ctx, span := obs.Start(ctx, "cell",
+		obs.Attr{Key: "attack", Value: cell.Attack},
+		obs.Attr{Key: "eps", Value: strconv.FormatFloat(cell.Eps, 'g', -1, 64)},
+		obs.Attr{Key: "cell", Value: strconv.Itoa(cell.Index)})
+	ev := Event{Kind: CellStarted, Suite: plan.spec.Name, Attack: cell.Attack, Eps: cell.Eps, Cell: cell.Index, Cells: plan.Total}
+	run.emit(ev)
+	adv, hit, err := run.cache.CraftedBatch(ctx, run.src, run.test, run.atks[cell.Grid], cell.Eps, run.opts)
+	if err != nil {
+		return cellResult{}, err
+	}
+	ev.Kind = cacheKind(hit)
+	run.emit(ev)
+	res := cellResult{row: make([]float64, len(run.models)), hit: hit}
+	for vi, m := range run.models {
+		preds, _, err := run.cache.Predictions(ctx, m, adv, run.opts)
+		if err != nil {
+			return cellResult{}, err
+		}
+		res.row[vi] = core.Robustness(preds, run.test.Y)
+	}
+	res.elapsed = span.End()
+	cellHist.Observe(res.elapsed)
+	if x.Counters != nil {
+		x.Counters.Local.Add(1)
+	}
+	ev.Kind, ev.CacheHit, ev.Elapsed = CellFinished, hit, res.elapsed
+	run.emit(ev)
+	return res, nil
+}
+
+// assemble builds the Report in plan order from completed cell results.
+func (r *PlanRun) assemble(results []cellResult) *Report {
 	spec := r.plan.spec
 	rep := &Report{
 		Spec:     *spec,
@@ -304,13 +178,13 @@ func (r *PlanRun) assemble(states []cellState) *Report {
 		}
 	}
 	for i, cell := range r.plan.Cells {
-		st := &states[i]
-		rep.Grids[cell.Grid].Acc[cell.EpsIdx] = st.row
+		res := &results[i]
+		rep.Grids[cell.Grid].Acc[cell.EpsIdx] = res.row
 		rep.Cells = append(rep.Cells, CellTiming{
 			Attack:    cell.Attack,
 			Eps:       cell.Eps,
-			CacheHit:  st.hit,
-			ElapsedMS: float64(st.elapsed) / float64(time.Millisecond),
+			CacheHit:  res.hit,
+			ElapsedMS: float64(res.elapsed) / float64(time.Millisecond),
 		})
 	}
 	return rep

@@ -94,15 +94,38 @@ func TestExecutorMergeEquivalence(t *testing.T) {
 		t.Fatalf("normalized JSON diverged:\n--- serial ---\n%s--- parallel ---\n%s", serialJSON.Bytes(), parJSON.Bytes())
 	}
 
-	// Every cell ran locally, and the ready gauge drained.
+	// Every cell ran locally.
 	if want := int64(tinySpec().CellCount()); sc.Local.Load() != want {
 		t.Fatalf("scheduler counted %d local cells, want %d", sc.Local.Load(), want)
 	}
-	if sc.Ready.Load() != 0 {
-		t.Fatalf("ready gauge stuck at %d after the run", sc.Ready.Load())
-	}
 	if sc.Remote.Load() != 0 || sc.Fallback.Load() != 0 {
 		t.Fatal("local executor must not touch the sharded counters")
+	}
+}
+
+// TestExecutorSerialPlanOrder: a serial run starts its cells in plan
+// order, 1..Total, and finishes each before the next starts.
+func TestExecutorSerialPlanOrder(t *testing.T) {
+	var started, finished []int
+	runWithExecutor(t, &LocalExecutor{Parallel: 1}, func(ev Event) {
+		switch ev.Kind {
+		case CellStarted:
+			if len(started) != len(finished) {
+				t.Errorf("cell %d started while cell %d was still running", ev.Cell, started[len(started)-1])
+			}
+			started = append(started, ev.Cell)
+		case CellFinished:
+			finished = append(finished, ev.Cell)
+		}
+	})
+	total := tinySpec().CellCount()
+	if len(started) != total || len(finished) != total {
+		t.Fatalf("started %d and finished %d cells, want %d each", len(started), len(finished), total)
+	}
+	for i := range started {
+		if started[i] != i+1 || finished[i] != i+1 {
+			t.Fatalf("serial run started cells %v and finished %v, want 1..%d in order", started, finished, total)
+		}
 	}
 }
 

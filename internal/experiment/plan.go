@@ -37,12 +37,11 @@ type PlanCell struct {
 	ID     CellID
 }
 
-// Plan is a Spec compiled into its deterministic cell DAG: one grid
+// Plan is a Spec compiled into its deterministic cell list: one grid
 // per attack (plus the adaptive EOT grid when the defense enables it),
 // one cell per grid × eps, grid-major — exactly the order the serial
 // engine swept, so "plan order" and historical report order coincide.
-// The dependency structure is implicit and uniform: each cell is a
-// craft node feeding one evaluate node per victim, and cells are
+// Each cell crafts one batch and scores it on every victim; cells are
 // mutually independent.
 //
 // A restricted plan (see Restrict) covers a subset of the grids but
@@ -64,7 +63,7 @@ func (s *Spec) Plan() (*Plan, error) {
 	return compilePlan(s), nil
 }
 
-// compilePlan builds the cell graph for an already-validated spec. It
+// compilePlan builds the cell list for an already-validated spec. It
 // is purely structural — no model or dataset resolution — so it is
 // cheap enough to back CellCount.
 func compilePlan(s *Spec) *Plan {

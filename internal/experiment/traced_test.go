@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"sort"
 	"testing"
 
 	"repro/internal/obs"
@@ -51,7 +52,7 @@ func TestTracedRunByteIdentical(t *testing.T) {
 	}
 
 	// The trace really recorded the pipeline: a suite root, the bind
-	// phase, per-grid and per-cell spans, and craft work under cells.
+	// phase, per-cell spans, and craft work under cells.
 	spans := rec.Spans()
 	byName := map[string][]obs.Span{}
 	byID := map[string]obs.Span{}
@@ -63,9 +64,6 @@ func TestTracedRunByteIdentical(t *testing.T) {
 	if got := len(byName["suite"]); got != 1 {
 		t.Fatalf("recorded %d suite spans, want 1", got)
 	}
-	if got := len(byName["grid"]); got != len(spec.Attacks) {
-		t.Errorf("recorded %d grid spans, want %d", got, len(spec.Attacks))
-	}
 	if got := len(byName["cell"]); got != spec.CellCount() {
 		t.Errorf("recorded %d cell spans, want %d", got, spec.CellCount())
 	}
@@ -75,15 +73,23 @@ func TestTracedRunByteIdentical(t *testing.T) {
 	if len(byName["bind"]) != 1 {
 		t.Errorf("recorded %d bind spans, want 1", len(byName["bind"]))
 	}
+	// Cells sit directly under the suite; their attack attribute names
+	// the grid they belong to.
 	suiteID := byName["suite"][0].ID
-	for _, g := range byName["grid"] {
-		if g.Parent != suiteID {
-			t.Errorf("grid span parent = %q, want suite %q", g.Parent, suiteID)
+	perGrid := map[string]int{}
+	for _, c := range byName["cell"] {
+		if c.Parent != suiteID {
+			t.Errorf("cell span parented under %q, want the suite span", byID[c.Parent].Name)
+		}
+		for _, a := range c.Attrs {
+			if a.Key == "attack" {
+				perGrid[a.Value]++
+			}
 		}
 	}
-	for _, c := range byName["cell"] {
-		if byID[c.Parent].Name != "grid" {
-			t.Errorf("cell span parented under %q, want a grid span", byID[c.Parent].Name)
+	for _, name := range spec.Attacks {
+		if perGrid[name] != len(spec.Eps) {
+			t.Errorf("%d cell spans carry attack %q, want %d", perGrid[name], name, len(spec.Eps))
 		}
 	}
 	for _, cr := range byName["craft"] {
@@ -93,5 +99,37 @@ func TestTracedRunByteIdentical(t *testing.T) {
 	}
 	if rec.Dropped() != 0 {
 		t.Errorf("ring dropped %d spans on a tiny suite", rec.Dropped())
+	}
+}
+
+// TestSerialTraceSiblingsDisjoint: in a serial traced run no two spans
+// with the same parent overlap in time, so every level of the tree
+// reads as a sequence of phases.
+func TestSerialTraceSiblingsDisjoint(t *testing.T) {
+	rec := obs.NewRecorder(obs.DefaultSpanCap)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	sctx, suite := obs.Start(ctx, "suite")
+	eng := New(WithModelSource(fixtureSource(t)), WithExecutor(&LocalExecutor{Parallel: 1}))
+	_, err := eng.Run(sctx, tinySpec())
+	suite.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("ring dropped %d spans", rec.Dropped())
+	}
+
+	byParent := map[string][]obs.Span{}
+	for _, sp := range rec.Spans() {
+		byParent[sp.Parent] = append(byParent[sp.Parent], sp)
+	}
+	for _, sibs := range byParent {
+		sort.Slice(sibs, func(i, j int) bool { return sibs[i].Start.Before(sibs[j].Start) })
+		for i := 1; i < len(sibs); i++ {
+			prev, cur := sibs[i-1], sibs[i]
+			if prev.Start.Add(prev.Dur).After(cur.Start) {
+				t.Errorf("sibling spans overlap: %s %v ends after %s %v starts", prev.Name, prev.Attrs, cur.Name, cur.Attrs)
+			}
+		}
 	}
 }

@@ -302,7 +302,6 @@ func writeMetrics(w http.ResponseWriter, m *Manager) {
 		{"axserve_cache_disk_pred_hits_total", "Predictions served from the persistent tier.", st.DiskPredHits},
 		{"axserve_cache_disk_pred_misses_total", "Prediction probes the persistent tier missed.", st.DiskPredMisses},
 		{"axserve_cache_disk_errors_total", "Persistent-tier failures degraded to recomputes.", st.DiskErrors},
-		{"axserve_store_admission_rejects_total", "Cold-key lookups rejected by the bloom filter without a disk probe.", st.DiskAdmissionRejects},
 		{"axserve_store_gc_evicted_records_total", "Records dropped by size-bounded segment GC.", st.DiskGCEvictions},
 		{"axserve_store_corrupt_records_total", "Corrupt records skipped by the store.", st.DiskCorruptRecords},
 		{"axserve_sched_cells_local_total", "Suite cells executed by this node's local executor.", m.Sched().Local.Load()},
@@ -321,7 +320,6 @@ func writeMetrics(w http.ResponseWriter, m *Manager) {
 		{"axserve_cache_craft_bytes", "Bytes retained by crafted batches.", st.CraftBytes},
 		{"axserve_store_keys", "Live keys in the persistent cache store.", st.DiskKeys},
 		{"axserve_store_bytes", "Bytes on disk in the persistent cache store.", st.DiskBytes},
-		{"axserve_sched_ready_cells", "Cell-graph nodes ready to run in the local executor right now.", m.Sched().Ready.Load()},
 	}
 	for _, g := range gauges {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.value)

@@ -38,10 +38,7 @@
 // scan continues at the next record boundary. Keys are indexed by a
 // 128-bit FNV digest — constant memory per key regardless of key
 // length — and Get re-reads the stored key bytes to rule out digest
-// collisions. A bloom filter rebuilt on Open (and appended on Put)
-// fronts the index so lookups for cold keys are answered without
-// probing the index or disk; GC never rebuilds it, so it only ever
-// errs toward admitting a probe.
+// collisions. A cold key costs one index lookup and no disk read.
 //
 // All methods are safe for concurrent use. The zero Store is not
 // usable; construct with Open.
@@ -87,7 +84,6 @@ const (
 
 	segSuffix           = ".seg"
 	defaultSegmentBytes = 8 << 20
-	defaultBloomBits    = 1 << 21
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -109,9 +105,6 @@ type Options struct {
 	// oldest segments are deleted whole — log-structured GC with cache
 	// semantics: cold keys whose only record lived there are gone.
 	MaxBytes int64
-	// BloomBits sizes the admission filter (default 2^21 bits, 256 KiB;
-	// rounded up to a power of two).
-	BloomBits int
 	// Sync fsyncs the active segment after every Put. The write-ahead
 	// job log wants it; the cache tier (whose contents are
 	// recomputable) does not.
@@ -125,9 +118,6 @@ type Stats struct {
 	// Hits / Misses count Get outcomes.
 	Hits   int64
 	Misses int64
-	// BloomRejects counts the Get misses answered by the admission
-	// filter alone, with no index or disk probe.
-	BloomRejects int64
 	// CorruptRecords counts CRC-failed or unframeable records skipped
 	// during Open scans and Get reads.
 	CorruptRecords int64
@@ -176,20 +166,18 @@ type Store struct {
 	maxBytes int64
 	syncPut  bool
 
-	mu        sync.RWMutex
-	index     map[digest]loc
-	segs      []*segment // ascending id; the last is the active one
-	bloom     []uint64
-	bloomMask uint64
+	mu    sync.RWMutex
+	index map[digest]loc
+	segs  []*segment // ascending id; the last is the active one
 
-	hits, misses, bloomRejects atomic.Int64
-	corrupt, truncated         atomic.Int64
-	gcRecords, gcSegments      atomic.Int64
-	puts, bytesWritten         atomic.Int64
+	hits, misses          atomic.Int64
+	corrupt, truncated    atomic.Int64
+	gcRecords, gcSegments atomic.Int64
+	puts, bytesWritten    atomic.Int64
 }
 
-// Open creates or reopens the store at o.Dir, rebuilding the index and
-// bloom filter from the segment files. Torn tails are truncated,
+// Open creates or reopens the store at o.Dir, rebuilding the index
+// from the segment files. Torn tails are truncated,
 // corrupt records skipped (both counted in Stats), so a store that was
 // killed mid-append reopens to every record that was fully written.
 func Open(o Options) (*Store, error) {
@@ -199,25 +187,15 @@ func Open(o Options) (*Store, error) {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
-	bits := o.BloomBits
-	if bits <= 0 {
-		bits = defaultBloomBits
-	}
-	for bits&(bits-1) != 0 { // round up to a power of two
-		bits &= bits - 1
-		bits <<= 1
-	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		dir:       o.Dir,
-		segBytes:  o.SegmentBytes,
-		maxBytes:  o.MaxBytes,
-		syncPut:   o.Sync,
-		index:     make(map[digest]loc),
-		bloom:     make([]uint64, bits/64),
-		bloomMask: uint64(bits - 1),
+		dir:      o.Dir,
+		segBytes: o.SegmentBytes,
+		maxBytes: o.MaxBytes,
+		syncPut:  o.Sync,
+		index:    make(map[digest]loc),
 	}
 	var nb [4]byte
 	if _, err := crand.Read(nb[:]); err != nil {
@@ -425,32 +403,8 @@ func digestOf(key string) digest {
 	return d
 }
 
-// bloom probes: double hashing from the two digest halves.
-func (s *Store) bloomAdd(d digest) {
-	h1 := binary.LittleEndian.Uint64(d[:8])
-	h2 := binary.LittleEndian.Uint64(d[8:])
-	for i := uint64(0); i < 4; i++ {
-		bit := (h1 + i*h2) & s.bloomMask
-		s.bloom[bit/64] |= 1 << (bit % 64)
-	}
-}
-
-func (s *Store) bloomHas(d digest) bool {
-	h1 := binary.LittleEndian.Uint64(d[:8])
-	h2 := binary.LittleEndian.Uint64(d[8:])
-	for i := uint64(0); i < 4; i++ {
-		bit := (h1 + i*h2) & s.bloomMask
-		if s.bloom[bit/64]&(1<<(bit%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Store) installLocked(key []byte, l loc) {
-	d := digestOf(string(key))
-	s.index[d] = l
-	s.bloomAdd(d)
+	s.index[digestOf(string(key))] = l
 }
 
 // Put appends one record and makes it the key's live value. Values are
@@ -555,12 +509,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	if !s.bloomHas(d) {
-		s.mu.RUnlock()
-		s.bloomRejects.Add(1)
-		s.misses.Add(1)
-		return nil, false
-	}
 	l, ok := s.index[d]
 	if !ok {
 		s.mu.RUnlock()
@@ -597,7 +545,7 @@ func (s *Store) Has(key string) bool {
 	d := digestOf(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.segs == nil || !s.bloomHas(d) {
+	if s.segs == nil {
 		return false
 	}
 	_, ok := s.index[d]
@@ -658,7 +606,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Hits:              s.hits.Load(),
 		Misses:            s.misses.Load(),
-		BloomRejects:      s.bloomRejects.Load(),
 		CorruptRecords:    s.corrupt.Load(),
 		TruncatedTails:    s.truncated.Load(),
 		GCEvictedRecords:  s.gcRecords.Load(),

@@ -73,7 +73,7 @@ func TestPutGetReopen(t *testing.T) {
 	}
 }
 
-func TestColdKeysAndBloom(t *testing.T) {
+func TestColdKeys(t *testing.T) {
 	s := open(t, Options{Dir: t.TempDir()})
 	mustPut(t, s, "present", []byte("v"))
 	for i := 0; i < 50; i++ {
@@ -85,13 +85,35 @@ func TestColdKeysAndBloom(t *testing.T) {
 	if st.Misses != 50 {
 		t.Fatalf("misses = %d, want 50", st.Misses)
 	}
-	// With one live key in a 2^21-bit filter, essentially every cold
-	// lookup is rejected by the filter without an index probe.
-	if st.BloomRejects == 0 {
-		t.Fatalf("bloom admitted every cold key: %+v", st)
-	}
 	if !s.Has("present") || s.Has("absent-0") {
 		t.Fatal("Has disagrees with contents")
+	}
+}
+
+// BenchmarkGetMiss times a Get for a key the store does not hold, on
+// an index of 10k live keys: one digest and one map lookup, no disk
+// read.
+func BenchmarkGetMiss(b *testing.B) {
+	s, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	for i := 0; i < 10000; i++ {
+		if err := s.Put(fmt.Sprintf("live-%d", i), []byte("v")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("absent-%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(keys[i%len(keys)]); ok {
+			b.Fatal("absent key reported present")
+		}
 	}
 }
 
