@@ -1,13 +1,14 @@
 // Command axvet runs the repo's project-specific static-analysis
 // suite (internal/analysis) over the module: determinism, cachekey,
 // and ctxhygiene over the AST, and — with -bce — the bounds-check
-// gate over the tiled kernels. It exits 1 when findings survive
+// gate over the tiled kernels (the AxDNN LUT kernels and the float
+// conv GEMM). It exits 1 when findings survive
 // suppression, so CI can use it as a blocking job.
 //
 // Usage:
 //
 //	axvet [-json] [patterns...]   # AST analyzers; default ./internal/... ./cmd/...
-//	axvet -bce [-json]            # bounds-check gate over internal/axnn
+//	axvet -bce [-json]            # bounds-check gate over internal/axnn and internal/nn
 //	axvet -list                   # registered analyzers and their contracts
 package main
 
@@ -49,7 +50,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		diags, err = analysis.RunBCE(root, "./internal/axnn", policy)
+		diags, err = analysis.RunBCE(root, policy, "./internal/axnn", "./internal/nn")
 		if err != nil {
 			fatal(err)
 		}

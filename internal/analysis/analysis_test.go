@@ -65,7 +65,7 @@ func TestBCEGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunBCE(root, "./internal/analysis/testdata/src/bcetest", policy)
+	diags, err := RunBCE(root, policy, "./internal/analysis/testdata/src/bcetest")
 	if err != nil {
 		t.Fatal(err)
 	}

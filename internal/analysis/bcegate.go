@@ -68,13 +68,16 @@ func LoadBCEPolicy(path string) (*BCEPolicy, error) {
 
 var bceDiag = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): Found (IsInBounds|IsSliceInBounds)`)
 
-// RunBCE builds pkg (an import path pattern like ./internal/axnn) with
-// the SSA check_bce debug flag and returns the bounds checks that land
-// inside the innermost loops of gated functions and are not
-// allowlisted. -a defeats the build cache, which would otherwise
-// swallow the compiler's diagnostics on a cache hit.
-func RunBCE(moduleRoot, pkg string, policy *BCEPolicy) ([]Diagnostic, error) {
-	cmd := exec.Command("go", "build", "-a", "-gcflags=-d=ssa/check_bce", pkg)
+// RunBCE builds pkgs (package directories relative to the module root,
+// like ./internal/axnn) in one go build with the SSA check_bce debug
+// flag and returns the bounds checks that land inside the innermost
+// loops of gated functions and are not allowlisted. -a defeats the
+// build cache, which would otherwise swallow the compiler's
+// diagnostics on a cache hit. Policy entries name files by basename,
+// so gated files need distinct basenames across pkgs.
+func RunBCE(moduleRoot string, policy *BCEPolicy, pkgs ...string) ([]Diagnostic, error) {
+	args := append([]string{"build", "-a", "-gcflags=-d=ssa/check_bce"}, pkgs...)
+	cmd := exec.Command("go", args...)
 	cmd.Dir = moduleRoot
 	out, err := cmd.CombinedOutput()
 	// check_bce findings are warnings (exit 0); a nonzero status means
@@ -83,10 +86,12 @@ func RunBCE(moduleRoot, pkg string, policy *BCEPolicy) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("go build -d=ssa/check_bce: %v\n%s", err, out)
 	}
 
-	pkgDir := filepath.Join(moduleRoot, filepath.FromSlash(strings.TrimPrefix(pkg, "./")))
-	ranges, err := gatedInnerLoopRanges(pkgDir, policy)
-	if err != nil {
-		return nil, err
+	ranges := map[string][]loopRange{}
+	for _, pkg := range pkgs {
+		pkgDir := filepath.Join(moduleRoot, filepath.FromSlash(strings.TrimPrefix(pkg, "./")))
+		if err := gatedInnerLoopRanges(pkgDir, policy, ranges); err != nil {
+			return nil, err
+		}
 	}
 
 	var diags []Diagnostic
@@ -135,15 +140,14 @@ type loopRange struct {
 }
 
 // gatedInnerLoopRanges parses the package directory (syntax only) and
-// returns, per file basename, the innermost-loop body line ranges of
-// every gated function.
-func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy) (map[string][]loopRange, error) {
+// adds to ranges, per file basename, the innermost-loop body line
+// ranges of every gated function.
+func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy, ranges map[string][]loopRange) error {
 	fset := token.NewFileSet()
 	entries, err := os.ReadDir(pkgDir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ranges := map[string][]loopRange{}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -151,7 +155,7 @@ func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy) (map[string][]loopRa
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(pkgDir, name), nil, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -167,7 +171,7 @@ func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy) (map[string][]loopRa
 			}
 		}
 	}
-	return ranges, nil
+	return nil
 }
 
 // innermostLoopBodies returns the bodies of loops that contain no

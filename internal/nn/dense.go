@@ -56,7 +56,7 @@ func (d *Dense) Forward(x *tensor.T, st *State) *tensor.T {
 			w := d.W[o*d.In : (o+1)*d.In]
 			var sum float32
 			for i, v := range xd {
-				sum += w[i] * v
+				sum += float32(w[i] * v)
 			}
 			yd[o] = sum + d.B[o]
 		}
@@ -90,12 +90,12 @@ func (d *Dense) Backward(dy *tensor.T, st *State) *tensor.T {
 			if st.accumGrads {
 				gw := d.GW[o*d.In : (o+1)*d.In]
 				for i, v := range xd {
-					gw[i] += g * v
-					dxd[i] += g * w[i]
+					gw[i] += float32(g * v)
+					dxd[i] += float32(g * w[i])
 				}
 			} else {
 				for i := range dxd {
-					dxd[i] += g * w[i]
+					dxd[i] += float32(g * w[i])
 				}
 			}
 		}

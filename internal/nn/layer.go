@@ -27,9 +27,16 @@ type State struct {
 	// (making them safe on a shared network) and on for training.
 	accumGrads bool
 
-	x     *tensor.T // layer input (conv, dense, pool)
-	cols  []float32 // conv im2col columns for the whole batch
-	dcols []float32 // conv backward per-sample column gradients
+	x *tensor.T // layer input (conv, dense, pool)
+	// cols holds conv im2col columns for one sample group: Forward's
+	// GEMM operand, then in Backward the training pass's per-sample
+	// columns and the group's column gradients.
+	cols []float32
+	// grp is the conv [OutC, cols] GEMM matrix of a multi-sample
+	// group: Forward's product before the per-sample scatter, and the
+	// gathered output gradients in Backward.
+	grp   []float32
+	wt    []float32 // conv Wᵀ, transposed per Backward call
 	mask  []bool    // relu activation mask
 	shape []int     // flatten input shape
 }

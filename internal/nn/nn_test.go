@@ -296,13 +296,13 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 		y[i] = rng.Float32()
 	}
 	cols := make([]float32, nCols)
-	Im2col(x, inC, h, w, k, stride, pad, cols)
+	im2col(x, inC, h, w, k, stride, pad, cols, outH*outW)
 	var lhs float64
 	for i := range cols {
 		lhs += float64(cols[i]) * float64(y[i])
 	}
 	xt := make([]float32, len(x))
-	Col2im(y, inC, h, w, k, stride, pad, xt)
+	col2im(y, outH*outW, inC, h, w, k, stride, pad, xt)
 	var rhs float64
 	for i := range x {
 		rhs += float64(x[i]) * float64(xt[i])

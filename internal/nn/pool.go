@@ -84,7 +84,7 @@ func (p *AvgPool2D) Backward(dy *tensor.T, st *State) *tensor.T {
 			din := dxd[c*inH*inW:]
 			for oi := 0; oi < outH; oi++ {
 				for oj := 0; oj < outW; oj++ {
-					g := dout[oi*outW+oj] * inv
+					g := float32(dout[oi*outW+oj] * inv)
 					for ki := 0; ki < p.K; ki++ {
 						row := (oi*p.Stride + ki) * inW
 						for kj := 0; kj < p.K; kj++ {
