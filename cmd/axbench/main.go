@@ -93,13 +93,15 @@ const pairedSuffix = "@paired-rel"
 // tiledPaired is the tentpole's acceptance entry: the interleaved
 // tiled/seed cost ratio, which must stay at or below maxTiledRel
 // (a >= 1.5x speedup) in every gated run. floatConvPaired is the float
-// crafting path's: LeNet-5 LossGradBatch with the tiled conv GEMM
-// against the retained scalar conv loops, at or below maxFloatConvRel.
+// crafting path's: LeNet-5 LossGradBatch with the conv GEMM against
+// the retained scalar conv loops, at or below maxFloatConvRel, a
+// ceiling only the amd64 SIMD kernel meets (about 0.25; the portable
+// Go kernel measured about 0.55).
 const (
 	tiledPaired     = "BenchmarkTiledVsSeed/paired" + pairedSuffix
 	maxTiledRel     = 1.0 / 1.5
 	floatConvPaired = "BenchmarkFloatConvVsRef" + pairedSuffix
-	maxFloatConvRel = 0.75
+	maxFloatConvRel = 0.40
 )
 
 // acceptanceMaxRel holds the acceptance floors: repo invariants, not
@@ -231,7 +233,8 @@ func medianRel(groups []map[string]float64, name, ref string) (float64, bool) {
 
 // build derives a Baseline from the parsed invocations, preserving the
 // per-entry gate policy of prev when given (so -update keeps Gate and
-// MaxRel choices).
+// MaxRel choices), except that acceptance floors always come from
+// acceptanceMaxRel.
 func build(groups []map[string]float64, prev *Baseline) (*Baseline, error) {
 	if _, ok := minNs(groups, refBench); !ok {
 		// A run without the reference can still refresh an existing
@@ -271,12 +274,14 @@ func build(groups []map[string]float64, prev *Baseline) (*Baseline, error) {
 		if !isSynthetic(name) {
 			e.NsPerOp, _ = minNs(groups, name)
 		}
-		e.MaxRel = acceptanceMaxRel[name]
 		if prev != nil {
 			if pe, ok := prev.Benchmarks[name]; ok {
 				e.Gate = pe.Gate
 				e.MaxRel = pe.MaxRel
 			}
+		}
+		if floor, ok := acceptanceMaxRel[name]; ok {
+			e.MaxRel = floor
 		}
 		b.Benchmarks[name] = e
 	}

@@ -247,6 +247,7 @@ func TestBuildPreservesPolicy(t *testing.T) {
 	prev, _ := build(groups, nil)
 	prev.Benchmarks["BenchmarkTiledVsSeed/tiled-workers4"].Gate = true
 	prev.Benchmarks["BenchmarkTiledVsSeed/tiled"].MaxRel = 1.0 / 1.5
+	prev.Benchmarks[tiledPaired].MaxRel = 0.9 // a stale acceptance floor
 
 	next, err := build(groups, prev)
 	if err != nil {
@@ -257,6 +258,9 @@ func TestBuildPreservesPolicy(t *testing.T) {
 	}
 	if next.Benchmarks["BenchmarkTiledVsSeed/tiled"].MaxRel == 0 {
 		t.Fatal("-update must keep MaxRel from the previous baseline")
+	}
+	if got := next.Benchmarks[tiledPaired].MaxRel; got != maxTiledRel {
+		t.Fatalf("-update must rewrite the acceptance floor: MaxRel = %v, want %v", got, maxTiledRel)
 	}
 }
 

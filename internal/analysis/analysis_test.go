@@ -72,6 +72,64 @@ func TestBCEGolden(t *testing.T) {
 	compareGolden(t, filepath.Join("testdata", "bcetest.golden"), renderDiags(diags))
 }
 
+// TestBCEStalePolicy: a policy entry that no longer matches the code
+// fails the gate instead of silently gating nothing. Each case adds one
+// stale entry to the fixture's policy, which is clean on its own.
+func TestBCEStalePolicy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go build -a; skipped in -short mode")
+	}
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := os.ReadFile(filepath.Join("testdata", "bcetest_policy.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, entry, want string
+	}{
+		// hot was renamed: the gate would check nothing.
+		{"gate", "gate bcetest.go:hotRenamed", "stale gate entry bcetest.go:hotRenamed: no such function body in ./internal/analysis/testdata/src/bcetest"},
+		// Line 16 is in pinned's body but not in its loop, and line 3
+		// is in no function at all.
+		{"allow in function", "allow bcetest.go:16 -- moved", "stale allow entry bcetest.go:16: the line lies outside every gated innermost loop"},
+		{"allow outside function", "allow bcetest.go:3 -- moved", "stale allow entry bcetest.go:3: the line lies outside every gated innermost loop"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "policy.txt")
+			if err := os.WriteFile(path, append(base, tc.entry+"\n"...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			policy, err := LoadBCEPolicy(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diags, err := RunBCE(root, policy, "./internal/analysis/testdata/src/bcetest")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fixture's seeded bounds check is still reported; the
+			// stale entry adds one diagnostic at its policy line.
+			var stale []Diagnostic
+			for _, d := range diags {
+				if d.File == path {
+					stale = append(stale, d)
+				}
+			}
+			wantLine := strings.Count(string(base), "\n") + 1
+			if len(stale) != 1 || stale[0].Line != wantLine || !strings.HasPrefix(stale[0].Message, tc.want) {
+				t.Fatalf("want one diagnostic at %s:%d starting %q, got:\n%s", path, wantLine, tc.want, renderDiags(diags))
+			}
+			if len(diags) != 2 {
+				t.Fatalf("want the stale entry plus the fixture's seeded check, got:\n%s", renderDiags(diags))
+			}
+		})
+	}
+}
+
 // renderDiags renders diagnostics with basenamed files so goldens are
 // stable across checkouts.
 func renderDiags(diags []Diagnostic) string {

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -28,10 +30,15 @@ import (
 // BCEPolicy is the parsed bce_policy.txt: which functions are gated
 // and which file:line sites are accepted.
 type BCEPolicy struct {
+	// Path is the policy file, for diagnostics about its entries.
+	Path string
 	// Gated maps "file.go:funcName" (basename) to true.
 	Gated map[string]bool
 	// Allowed maps "file.go:line" (basename) to the recorded reason.
 	Allowed map[string]string
+	// Line maps each gate and allow entry (its Gated or Allowed key) to
+	// its line in the policy file.
+	Line map[string]int
 }
 
 // LoadBCEPolicy parses the policy file. Lines are `gate file.go:func`,
@@ -42,7 +49,7 @@ func LoadBCEPolicy(path string) (*BCEPolicy, error) {
 		return nil, err
 	}
 	defer f.Close()
-	p := &BCEPolicy{Gated: map[string]bool{}, Allowed: map[string]string{}}
+	p := &BCEPolicy{Path: path, Gated: map[string]bool{}, Allowed: map[string]string{}, Line: map[string]int{}}
 	sc := bufio.NewScanner(f)
 	lineno := 0
 	for sc.Scan() {
@@ -56,9 +63,12 @@ func LoadBCEPolicy(path string) (*BCEPolicy, error) {
 		switch verb {
 		case "gate":
 			p.Gated[rest] = true
+			p.Line[rest] = lineno
 		case "allow":
 			site, reason, _ := strings.Cut(rest, "--")
-			p.Allowed[strings.TrimSpace(site)] = strings.TrimSpace(reason)
+			site = strings.TrimSpace(site)
+			p.Allowed[site] = strings.TrimSpace(reason)
+			p.Line[site] = lineno
 		default:
 			return nil, fmt.Errorf("%s:%d: unknown policy verb %q", path, lineno, verb)
 		}
@@ -75,6 +85,12 @@ var bceDiag = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): Found (IsInBounds|IsSli
 // build cache, which would otherwise swallow the compiler's
 // diagnostics on a cache hit. Policy entries name files by basename,
 // so gated files need distinct basenames across pkgs.
+//
+// It also reports stale policy entries, which would otherwise gate
+// nothing without a sound: a gate entry that names no function body
+// in pkgs (the kernel was renamed or moved), and an allow entry whose
+// line lies outside every gated innermost loop (the code above it
+// moved).
 func RunBCE(moduleRoot string, policy *BCEPolicy, pkgs ...string) ([]Diagnostic, error) {
 	args := append([]string{"build", "-a", "-gcflags=-d=ssa/check_bce"}, pkgs...)
 	cmd := exec.Command("go", args...)
@@ -87,14 +103,15 @@ func RunBCE(moduleRoot string, policy *BCEPolicy, pkgs ...string) ([]Diagnostic,
 	}
 
 	ranges := map[string][]loopRange{}
+	found := map[string]bool{}
 	for _, pkg := range pkgs {
 		pkgDir := filepath.Join(moduleRoot, filepath.FromSlash(strings.TrimPrefix(pkg, "./")))
-		if err := gatedInnerLoopRanges(pkgDir, policy, ranges); err != nil {
+		if err := gatedInnerLoopRanges(pkgDir, policy, ranges, found); err != nil {
 			return nil, err
 		}
 	}
 
-	var diags []Diagnostic
+	diags := stalePolicyEntries(policy, ranges, found, pkgs)
 	for _, line := range strings.Split(string(out), "\n") {
 		m := bceDiag.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -104,13 +121,7 @@ func RunBCE(moduleRoot string, policy *BCEPolicy, pkgs ...string) ([]Diagnostic,
 		lineNo, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
 		base := filepath.Base(file)
-		fn := ""
-		for _, r := range ranges[base] {
-			if lineNo > r.lbrace && lineNo <= r.rbrace {
-				fn = r.fn
-				break
-			}
-		}
+		fn := innermostGatedLoop(ranges, base, lineNo)
 		if fn == "" {
 			continue // outside every gated innermost loop
 		}
@@ -128,6 +139,46 @@ func RunBCE(moduleRoot string, policy *BCEPolicy, pkgs ...string) ([]Diagnostic,
 	return diags, nil
 }
 
+// stalePolicyEntries returns a diagnostic, at its line in the policy
+// file, for every gate entry that matched no function body (found
+// holds the ones that did) and every allow entry outside all gated
+// innermost loops, in policy-file order.
+func stalePolicyEntries(policy *BCEPolicy, ranges map[string][]loopRange, found map[string]bool, pkgs []string) []Diagnostic {
+	var diags []Diagnostic
+	stale := func(key, msg string) {
+		diags = append(diags, Diagnostic{Analyzer: "bcegate", File: policy.Path, Line: policy.Line[key], Col: 1, Message: msg})
+	}
+	for key := range policy.Gated {
+		if !found[key] {
+			stale(key, fmt.Sprintf("stale gate entry %s: no such function body in %s; point it at the kernel's current file and name", key, strings.Join(pkgs, " ")))
+		}
+	}
+	for key := range policy.Allowed {
+		file, line, _ := strings.Cut(key, ":")
+		if n, err := strconv.Atoi(line); err != nil || innermostGatedLoop(ranges, file, n) == "" {
+			stale(key, fmt.Sprintf("stale allow entry %s: the line lies outside every gated innermost loop; point it at the site's current line or delete it", key))
+		}
+	}
+	sort.Slice(diags, func(i, j int) bool {
+		if diags[i].Line != diags[j].Line {
+			return diags[i].Line < diags[j].Line
+		}
+		return diags[i].Message < diags[j].Message
+	})
+	return diags
+}
+
+// innermostGatedLoop returns the gated function whose innermost loop
+// body holds file:line (file is a basename), or "" if none does.
+func innermostGatedLoop(ranges map[string][]loopRange, file string, line int) string {
+	for _, r := range ranges[file] {
+		if line > r.lbrace && line <= r.rbrace {
+			return r.fn
+		}
+	}
+	return ""
+}
+
 // loopRange is one innermost-loop body: diagnostics with
 // lbrace < line <= rbrace fall inside it. The range deliberately
 // excludes the for/range header line itself — the per-iteration bound
@@ -139,10 +190,11 @@ type loopRange struct {
 	rbrace int
 }
 
-// gatedInnerLoopRanges parses the package directory (syntax only) and
-// adds to ranges, per file basename, the innermost-loop body line
-// ranges of every gated function.
-func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy, ranges map[string][]loopRange) error {
+// gatedInnerLoopRanges parses the package directory's files that the
+// build compiles (syntax only) and adds to ranges, per file basename,
+// the innermost-loop body line ranges of every gated function, and to
+// found the gate keys of the gated functions it saw.
+func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy, ranges map[string][]loopRange, found map[string]bool) error {
 	fset := token.NewFileSet()
 	entries, err := os.ReadDir(pkgDir)
 	if err != nil {
@@ -151,6 +203,11 @@ func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy, ranges map[string][]
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if match, err := build.Default.MatchFile(pkgDir, name); err != nil {
+			return err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(pkgDir, name), nil, 0)
@@ -162,6 +219,7 @@ func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy, ranges map[string][]
 			if !ok || fd.Body == nil || !policy.Gated[name+":"+fd.Name.Name] {
 				continue
 			}
+			found[name+":"+fd.Name.Name] = true
 			for _, body := range innermostLoopBodies(fd.Body) {
 				ranges[name] = append(ranges[name], loopRange{
 					fn:     fd.Name.Name,

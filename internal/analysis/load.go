@@ -3,14 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -187,7 +186,7 @@ func (l *Loader) dirFor(path string) (string, bool) {
 }
 
 // loadDir parses and type-checks the package in dir (non-test files
-// only, honoring //go:build constraints for the current GOOS/GOARCH).
+// only, honoring build constraints for the current GOOS/GOARCH).
 func (l *Loader) loadDir(dir string) (*Package, error) {
 	path, err := l.importPath(dir)
 	if err != nil {
@@ -212,15 +211,16 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
+		// MatchFile honors both //go:build lines and _GOOS/_GOARCH
+		// file-name suffixes, so one of a gemm_amd64.go/gemm_noasm.go
+		// style pair is picked and the package type-checks without
+		// duplicate symbols.
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
 			return nil, err
-		}
-		if !buildConstraintsMatch(src) {
+		} else if !match {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, full, src, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -259,49 +259,4 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return pkg.Types, nil
 	}
 	return l.std.Import(path)
-}
-
-// buildConstraintsMatch evaluates a file's //go:build line (if any)
-// against the host platform — enough to pick one of the
-// lock_unix.go/lock_other.go style pairs so the package type-checks
-// without duplicate symbols. Legacy // +build lines are not consulted;
-// the repo uses //go:build exclusively.
-func buildConstraintsMatch(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if constraint.IsGoBuild(trimmed) {
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				return true
-			}
-			return expr.Eval(buildTagMatches)
-		}
-		// Constraints must precede the package clause.
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-	}
-	return true
-}
-
-// unixGOOS mirrors the platforms the "unix" build tag matches, for the
-// ones this repo could plausibly run on.
-var unixGOOS = map[string]bool{
-	"linux": true, "darwin": true, "freebsd": true, "netbsd": true,
-	"openbsd": true, "dragonfly": true, "solaris": true, "aix": true,
-}
-
-func buildTagMatches(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		return unixGOOS[runtime.GOOS]
-	}
-	// goN.M release tags: the toolchain building axvet satisfies every
-	// version up to its own.
-	if strings.HasPrefix(tag, "go1.") {
-		return true
-	}
-	return false
 }

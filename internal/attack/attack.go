@@ -109,7 +109,7 @@ func gaussianDir(shape []int, rng *rand.Rand) *tensor.T {
 func uniformDir(shape []int, rng *rand.Rand) *tensor.T {
 	d := tensor.New(shape...)
 	for i := range d.Data {
-		d.Data[i] = float32(rng.Float64()*2 - 1)
+		d.Data[i] = float32(float64(rng.Float64())*2 - 1)
 	}
 	return d
 }

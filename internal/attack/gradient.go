@@ -139,7 +139,7 @@ func (a *BIM) randomInit(adv, x *tensor.T, eps float64, rng *rand.Rand) {
 func randomInitBall(norm Norm, adv, x *tensor.T, eps float64, rng *rand.Rand) {
 	if norm == Linf {
 		for i := range adv.Data {
-			adv.Data[i] += float32((rng.Float64()*2 - 1) * eps)
+			adv.Data[i] += float32((float64(rng.Float64())*2 - 1) * eps)
 		}
 	} else {
 		d := gaussianDir(x.Shape, rng)

@@ -84,7 +84,7 @@ func (a *UAP) Craft(ctx context.Context, m Model, xs *tensor.T, labels []int, ep
 	// Random init inside the eps-ball, mirroring PGD's random start.
 	if a.norm == Linf {
 		for i := range delta.Data {
-			delta.Data[i] = float32((rng.Float64()*2 - 1) * eps)
+			delta.Data[i] = float32((float64(rng.Float64())*2 - 1) * eps)
 		}
 	} else {
 		stepL2(delta, gaussianDir(shape, rng), rng.Float64()*eps)

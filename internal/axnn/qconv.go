@@ -293,13 +293,13 @@ func (c *qConv) epilogue(net *Network, acc, aSum []int32, sOut []uint8, oc0, nb,
 		if net.noZP {
 			// Ablation: raw LUT sums without the correction adders.
 			for i := range accj {
-				dst[i] = c.outQP.Quantize(float32(accj[i])*scale + bias)
+				dst[i] = c.outQP.Quantize(float32(float32(accj[i])*scale) + bias)
 			}
 			continue
 		}
 		sumT := aSum[pt:pe]
 		for i := range accj {
-			v := float32(accj[i]-zw*sumT[i]+fixed)*scale + bias
+			v := float32(float32(accj[i]-zw*sumT[i]+fixed)*scale) + bias
 			dst[i] = c.outQP.Quantize(v)
 		}
 	}

@@ -99,7 +99,7 @@ func (d *qDense) forward(net *Network, ws *workspace, in qtensor) (qtensor, []fl
 			// are provably in-bounds (axvet -bce gates this loop).
 			sv, wSum, bias := sVals[:len(acc)], d.wSum[:len(acc)], d.bias[:len(acc)]
 			for o, a := range acc {
-				sv[o] = float32(a+fixed-za*wSum[o])*scale + bias[o]
+				sv[o] = float32(float32(a+fixed-za*wSum[o])*scale) + bias[o]
 			}
 			continue
 		}
@@ -110,7 +110,7 @@ func (d *qDense) forward(net *Network, ws *workspace, in qtensor) (qtensor, []fl
 			for i, a := range xd {
 				acc += int32(a) * int32(w[i])
 			}
-			sVals[o] = float32(acc+fixed-za*d.wSum[o])*scale + d.bias[o]
+			sVals[o] = float32(float32(acc+fixed-za*d.wSum[o])*scale) + d.bias[o]
 		}
 	}
 	if d.last {

@@ -97,12 +97,12 @@ func (c *qConv) refForward(net *Network, in qtensor) (qtensor, []float32) {
 			dst := sOut[oc*p : (oc+1)*p]
 			if net.noZP {
 				for i := range acc {
-					dst[i] = c.outQP.Quantize(float32(acc[i])*scale + bias)
+					dst[i] = c.outQP.Quantize(float32(float32(acc[i])*scale) + bias)
 				}
 				continue
 			}
 			for i := range acc {
-				v := float32(acc[i]-zw*aSum[i]+fixed)*scale + bias
+				v := float32(float32(acc[i]-zw*aSum[i]+fixed)*scale) + bias
 				dst[i] = c.outQP.Quantize(v)
 			}
 		}
@@ -138,7 +138,7 @@ func (d *qDense) refForward(net *Network, in qtensor) (qtensor, []float32) {
 				}
 			}
 			acc += int32(d.in)*za*zw - za*d.wSum[o] - zw*aSum
-			sVals[o] = float32(acc)*scale + d.bias[o]
+			sVals[o] = float32(float32(acc)*scale) + d.bias[o]
 		}
 	}
 	if d.last {

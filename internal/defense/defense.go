@@ -173,7 +173,7 @@ func AdvTrain(ctx context.Context, net *nn.Network, set *dataset.Set, cfg AdvTra
 // index) only, so the mixed set is identical however crafting is
 // chunked or parallelised.
 func adversarialEpoch(ctx context.Context, net *nn.Network, set *dataset.Set, atk attack.Attack, cfg AdvTrainConfig, epoch int) (*dataset.Set, error) {
-	k := int(cfg.Ratio*float64(set.Len()) + 0.5)
+	k := int(float64(cfg.Ratio*float64(set.Len())) + 0.5)
 	if k == 0 {
 		return set, nil
 	}

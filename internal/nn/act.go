@@ -8,16 +8,16 @@ type ReLU struct{}
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.T, st *State) *tensor.T {
-	y := x.Clone()
+	y := result(st.innerOut, &st.out, x.Shape...)
 	if cap(st.mask) < len(y.Data) {
 		st.mask = make([]bool, len(y.Data))
 	}
 	st.mask = st.mask[:len(y.Data)]
-	for i, v := range y.Data {
+	for i, v := range x.Data {
 		if v <= 0 {
-			y.Data[i] = 0
 			st.mask[i] = false
 		} else {
+			y.Data[i] = v
 			st.mask[i] = true
 		}
 	}
@@ -26,10 +26,10 @@ func (r *ReLU) Forward(x *tensor.T, st *State) *tensor.T {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dy *tensor.T, st *State) *tensor.T {
-	dx := dy.Clone()
-	for i := range dx.Data {
-		if !st.mask[i] {
-			dx.Data[i] = 0
+	dx := result(st.innerGrad, &st.gout, dy.Shape...)
+	for i, v := range dy.Data {
+		if st.mask[i] {
+			dx.Data[i] = v
 		}
 	}
 	return dx

@@ -109,3 +109,49 @@ func TestDenseOnlyBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestPassResultsNotAliased: ReLU and pooling build the results that
+// stay inside a pass in the pooled pass's buffers, so whatever a call
+// hands back — logits, the input gradient, every traced output — must
+// survive later calls on the same network, also when a Flatten view
+// sits between those layers and the caller.
+func TestPassResultsNotAliased(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cases := []struct {
+		net   *Network
+		shape []int
+	}{
+		{smallConvNet(30), []int{2, 6, 6}},
+		{&Network{Name: "views", Layers: []Layer{&Flatten{}, &ReLU{}, NewDense(12, 8, rng), &ReLU{}, &Flatten{}}}, []int{12}},
+		{&Network{Name: "pool-edges", Layers: []Layer{&ReLU{}, NewAvgPool2D(2, 2), &Flatten{}}}, []int{2, 4, 4}},
+	}
+	labels := []int{0, 1, 2}
+	for _, tc := range cases {
+		var xs [2]*tensor.T
+		for i := range xs {
+			xs[i], _ = stackInputs(len(labels), tc.shape, int64(32+i))
+			for j := range xs[i].Data {
+				xs[i].Data[j] -= 0.5 // both signs, so ReLU masks some
+			}
+		}
+		logits := tc.net.Forward(xs[0])
+		_, grad := tc.net.LossGradBatch(xs[0], labels)
+		outs := append([]*tensor.T{logits, grad}, tc.net.ForwardTrace(xs[0])...)
+		var want [][]float32
+		for _, o := range outs {
+			want = append(want, append([]float32(nil), o.Data...))
+		}
+		for i := 0; i < 2; i++ {
+			tc.net.Forward(xs[1])
+			tc.net.LossGradBatch(xs[1], labels)
+			tc.net.ForwardTrace(xs[1])
+		}
+		for k, o := range outs {
+			for j, v := range o.Data {
+				if v != want[k][j] {
+					t.Fatalf("%s: result %d changed after later calls", tc.net.Name, k)
+				}
+			}
+		}
+	}
+}

@@ -39,11 +39,37 @@ type State struct {
 	wt    []float32 // conv Wᵀ, transposed per Backward call
 	mask  []bool    // relu activation mask
 	shape []int     // flatten input shape
+
+	// innerOut and innerGrad are set by a Network pass when the layer's
+	// Forward result (Backward result) is consumed inside the pass and
+	// never reaches the caller. ReLU and pooling then build it in out
+	// (gout), reused by every call of the pooled pass, instead of
+	// allocating one per call. Iterative attacks call the network
+	// hundreds of times per batch, and these results would otherwise
+	// be most of the bytes they allocate.
+	innerOut, innerGrad bool
+	out, gout           []float32
 }
 
 // release drops references to pass inputs so pooled States do not pin
 // batch tensors, while keeping the flat scratch buffers for reuse.
 func (st *State) release() { st.x = nil }
+
+// result returns a zeroed tensor of the given shape for a layer's
+// Forward or Backward result: built in *buf when inner says the pass
+// owns it, freshly allocated otherwise.
+func result(inner bool, buf *[]float32, shape ...int) *tensor.T {
+	if !inner {
+		return tensor.New(shape...)
+	}
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	data := grow(buf, n)
+	clear(data)
+	return tensor.FromSlice(data, shape...)
+}
 
 // Layer is a differentiable network stage. Implementations must keep
 // all mutable per-call data in st so that a single Layer value can be
@@ -51,12 +77,14 @@ func (st *State) release() { st.x = nil }
 type Layer interface {
 	// Forward computes the layer output for a single sample or a batch,
 	// caching whatever Backward needs in st. The returned tensor is
-	// freshly allocated (or a view of one) and owned by the caller.
+	// freshly allocated (or a view of one) and owned by the caller,
+	// except that with st.innerOut set it may live in st's buffers.
 	Forward(x *tensor.T, st *State) *tensor.T
 	// Backward consumes the gradient w.r.t. the layer output and
-	// returns the gradient w.r.t. the layer input. Weight gradients are
-	// accumulated into the layer's gradient buffers only when st was
-	// prepared for training (see Network.AccumGrad).
+	// returns the gradient w.r.t. the layer input, in st's buffers
+	// when st.innerGrad is set. Weight gradients are accumulated into
+	// the layer's gradient buffers only when st was prepared for
+	// training (see Network.AccumGrad).
 	Backward(dy *tensor.T, st *State) *tensor.T
 }
 

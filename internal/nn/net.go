@@ -28,13 +28,27 @@ type pass struct {
 	states []State
 }
 
-func (n *Network) getPass(accumGrads bool) *pass {
+// getPass checks out a workspace. A layer's Forward result stays
+// inside the pass when a later layer that is not a view (Flatten
+// reshapes without copying) consumes it, unless the pass is a trace,
+// which returns every result; its Backward result stays inside when an
+// earlier non-view layer consumes it.
+func (n *Network) getPass(accumGrads, trace bool) *pass {
 	p, _ := n.passes.Get().(*pass)
 	if p == nil || len(p.states) != len(n.Layers) {
 		p = &pass{states: make([]State, len(n.Layers))}
 	}
+	first, last := len(n.Layers), -1
+	for i, l := range n.Layers {
+		if _, view := l.(*Flatten); !view {
+			first, last = min(first, i), i
+		}
+	}
 	for i := range p.states {
-		p.states[i].accumGrads = accumGrads
+		st := &p.states[i]
+		st.accumGrads = accumGrads
+		st.innerOut = !trace && i < last
+		st.innerGrad = i > first
 	}
 	return p
 }
@@ -63,7 +77,7 @@ func (n *Network) backward(g *tensor.T, p *pass) *tensor.T {
 // Forward runs the full stack on a single sample or a batch and
 // returns the logits tensor ([classes] or [N,classes]).
 func (n *Network) Forward(x *tensor.T) *tensor.T {
-	p := n.getPass(false)
+	p := n.getPass(false, false)
 	y := n.forward(x, p)
 	n.putPass(p)
 	return y
@@ -91,7 +105,7 @@ func (n *Network) Predict(x *tensor.T) int {
 // ForwardTrace runs the stack and returns every intermediate output
 // (one per layer). Used by quantization calibration.
 func (n *Network) ForwardTrace(x *tensor.T) []*tensor.T {
-	p := n.getPass(false)
+	p := n.getPass(false, true)
 	outs := make([]*tensor.T, len(n.Layers))
 	for i, l := range n.Layers {
 		x = l.Forward(x, &p.states[i])
@@ -106,7 +120,7 @@ func (n *Network) ForwardTrace(x *tensor.T) []*tensor.T {
 // accumulated — the call is read-only on the network and safe for
 // concurrent use (gradient attacks hammer this from many goroutines).
 func (n *Network) LossGrad(x *tensor.T, label int) (float32, *tensor.T) {
-	p := n.getPass(false)
+	p := n.getPass(false, false)
 	logits := n.forward(x, p)
 	loss, dlogits := SoftmaxCE(logits.Data, label)
 	g := n.backward(tensor.FromSlice(dlogits, logits.Shape...), p)
@@ -119,7 +133,7 @@ func (n *Network) LossGrad(x *tensor.T, label int) (float32, *tensor.T) {
 // [N, sampleShape...] input gradient, each row bit-for-bit identical
 // to the scalar LossGrad on that sample.
 func (n *Network) LossGradBatch(xs *tensor.T, labels []int) ([]float32, *tensor.T) {
-	p := n.getPass(false)
+	p := n.getPass(false, false)
 	logits := n.forward(xs, p)
 	rows, classes := logits.Shape[0], logits.Shape[1]
 	losses := make([]float32, rows)
@@ -145,7 +159,7 @@ func (n *Network) LossGradBatch(xs *tensor.T, labels []int) ([]float32, *tensor.
 // weight-gradient buffers, so concurrent calls on one Network are
 // safe.
 func (n *Network) GradFromLogitsBatch(xs, dlogits *tensor.T) *tensor.T {
-	p := n.getPass(false)
+	p := n.getPass(false, false)
 	logits := n.forward(xs, p)
 	if logits.Len() != dlogits.Len() {
 		panic("nn: GradFromLogitsBatch dlogits shape does not match the network's logits")
@@ -160,7 +174,7 @@ func (n *Network) GradFromLogitsBatch(xs, dlogits *tensor.T) *tensor.T {
 // buffers. Unlike LossGrad it mutates shared state, so concurrent
 // training workers must call it on private Clones.
 func (n *Network) AccumGrad(x *tensor.T, label int) float32 {
-	p := n.getPass(true)
+	p := n.getPass(true, false)
 	logits := n.forward(x, p)
 	loss, dlogits := SoftmaxCE(logits.Data, label)
 	n.backward(tensor.FromSlice(dlogits, logits.Shape...), p)

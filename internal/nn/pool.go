@@ -34,9 +34,9 @@ func (p *AvgPool2D) Forward(x *tensor.T, st *State) *tensor.T {
 	outW := (inW-p.K)/p.Stride + 1
 	var y *tensor.T
 	if len(x.Shape) == 4 {
-		y = tensor.New(n, inC, outH, outW)
+		y = result(st.innerOut, &st.out, n, inC, outH, outW)
 	} else {
-		y = tensor.New(inC, outH, outW)
+		y = result(st.innerOut, &st.out, inC, outH, outW)
 	}
 	inv := 1 / float32(p.K*p.K)
 	for s := 0; s < n; s++ {
@@ -71,9 +71,9 @@ func (p *AvgPool2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	outW := (inW-p.K)/p.Stride + 1
 	var dx *tensor.T
 	if len(x.Shape) == 4 {
-		dx = tensor.New(n, inC, inH, inW)
+		dx = result(st.innerGrad, &st.gout, n, inC, inH, inW)
 	} else {
-		dx = tensor.New(inC, inH, inW)
+		dx = result(st.innerGrad, &st.gout, inC, inH, inW)
 	}
 	inv := 1 / float32(p.K*p.K)
 	for s := 0; s < n; s++ {

@@ -91,7 +91,7 @@ func (t *T) Fill(v float32) {
 // AddScaled adds alpha*o elementwise into t (t += alpha*o).
 func (t *T) AddScaled(alpha float32, o *T) {
 	for i, v := range o.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float32(alpha * v)
 	}
 }
 
@@ -118,7 +118,7 @@ func (t *T) Clamp(lo, hi float32) {
 func (t *T) L2Norm() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
@@ -179,7 +179,7 @@ func ProjectL2(t, center *T, eps float64) {
 	}
 	scale := float32(eps / n)
 	for i := range t.Data {
-		t.Data[i] = center.Data[i] + d.Data[i]*scale
+		t.Data[i] = center.Data[i] + float32(d.Data[i]*scale)
 	}
 }
 

@@ -126,7 +126,7 @@ func Fit(net *nn.Network, set *dataset.Set, cfg Config) float64 {
 				mom := float32(cfg.Momentum)
 				step := float32(lr)
 				for i := range g {
-					v[i] = mom*v[i] - step*g[i]*scale
+					v[i] = float32(mom*v[i]) - float32(step*g[i]*scale)
 					mp.W[i] += v[i]
 					g[i] = 0
 				}
