@@ -74,7 +74,7 @@ type Entry struct {
 	Gate bool `json:"gate"`
 	// MaxRel, when set, is an absolute requirement on Rel independent
 	// of the committed value — e.g. the tiled kernel must stay at
-	// rel <= 0.667 (a >= 1.5x speedup over the seed kernel).
+	// rel <= 0.5 (a >= 2x speedup over the seed kernel).
 	MaxRel float64 `json:"max_rel,omitempty"`
 }
 
@@ -92,14 +92,14 @@ const pairedSuffix = "@paired-rel"
 
 // tiledPaired is the tentpole's acceptance entry: the interleaved
 // tiled/seed cost ratio, which must stay at or below maxTiledRel
-// (a >= 1.5x speedup) in every gated run. floatConvPaired is the float
+// (a >= 2x speedup) in every gated run. floatConvPaired is the float
 // crafting path's: LeNet-5 LossGradBatch with the conv GEMM against
 // the retained scalar conv loops, at or below maxFloatConvRel, a
 // ceiling only the amd64 SIMD kernel meets (about 0.25; the portable
 // Go kernel measured about 0.55).
 const (
 	tiledPaired     = "BenchmarkTiledVsSeed/paired" + pairedSuffix
-	maxTiledRel     = 1.0 / 1.5
+	maxTiledRel     = 0.5
 	floatConvPaired = "BenchmarkFloatConvVsRef" + pairedSuffix
 	maxFloatConvRel = 0.40
 )

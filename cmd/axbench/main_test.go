@@ -140,7 +140,7 @@ func TestPairedEntries(t *testing.T) {
 		t.Fatalf("tiled paired entry = %+v, want gated rel 0.40 with no ns", tp)
 	}
 	if tp.MaxRel != maxTiledRel {
-		t.Fatalf("tiled paired MaxRel = %v, want the 1.5x acceptance floor %v", tp.MaxRel, maxTiledRel)
+		t.Fatalf("tiled paired MaxRel = %v, want the 2x acceptance floor %v", tp.MaxRel, maxTiledRel)
 	}
 	lp := base.Benchmarks["BenchmarkLUTVsDirect/paired"+pairedSuffix]
 	if lp == nil || lp.Rel != 0.10 || !lp.Gate || lp.MaxRel != 0 {
@@ -194,7 +194,7 @@ func TestBuildAndCheck(t *testing.T) {
 	}
 
 	// A 20% regression of the gated paired ratio trips a 10% gate
-	// (0.48 is still under the 0.667 floor, so exactly one failure).
+	// (0.48 is still under the 0.5 floor, so exactly one failure).
 	slow := []map[string]float64{{}}
 	for k, v := range groups[0] {
 		slow[0][k] = v
@@ -224,10 +224,10 @@ func TestBuildAndCheck(t *testing.T) {
 func TestCheckMaxRel(t *testing.T) {
 	groups := mustParse(t, sampleOut)
 	base, _ := build(groups, nil)
-	// The 1.5x acceptance floor holds on the paired ratio regardless of
+	// The 2x acceptance floor holds on the paired ratio regardless of
 	// what the committed measurement was.
 	if fails := check(groups, base, 0.10); len(fails) != 0 {
-		t.Fatalf("paired rel 0.40 must satisfy the 0.667 floor: %v", fails)
+		t.Fatalf("paired rel 0.40 must satisfy the 0.5 floor: %v", fails)
 	}
 	slow := []map[string]float64{{}}
 	for k, v := range groups[0] {

@@ -23,8 +23,8 @@ import (
 // Unlike the AST analyzers, this gate drives the compiler itself
 // (`go build -gcflags=-d=ssa/check_bce`) and filters its findings down
 // to the innermost loops of the functions named in bce_policy.txt.
-// Sites the prove pass fundamentally cannot handle (data-dependent
-// sparse scatters) are allowlisted there, with reasons, next to the
+// Sites the prove pass fundamentally cannot handle (strided
+// paired-lane indexes) are allowlisted there, with reasons, next to the
 // gate entries.
 
 // BCEPolicy is the parsed bce_policy.txt: which functions are gated

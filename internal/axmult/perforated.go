@@ -32,7 +32,7 @@ func (m Perforated) compensation() uint32 {
 	var e float64
 	for i := uint(0); i < 8; i++ {
 		if (m.Rows>>i)&1 == 1 {
-			e += 0.5 * 127.5 * float64(uint32(1)<<i)
+			e += float64(0.5 * 127.5 * float64(uint32(1)<<i))
 		}
 	}
 	return uint32(e + 0.5)

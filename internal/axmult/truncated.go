@@ -40,7 +40,7 @@ func truncCompensation(cut uint) uint32 {
 		if n > 8 {
 			n = 8
 		}
-		e += float64(n) * 0.25 * float64(uint32(1)<<c)
+		e += float64(float64(n) * 0.25 * float64(uint32(1)<<c))
 	}
 	return uint32(e + 0.5)
 }

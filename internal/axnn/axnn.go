@@ -18,9 +18,11 @@
 //
 // The conv/dense kernels are tiled, weight-stationary LUT GEMMs: each
 // weight code reads one contiguous 256-entry row of the transposed
-// multiplier table, output channels are register-blocked, the pixel
+// multiplier table, output channels are register-blocked, the column
 // dimension is tiled to L1-sized chunks, and all scratch comes from a
-// pooled per-Network workspace arena (see workspace.go). The pre-PR
+// pooled per-Network workspace arena (see workspace.go). On AVX2 hosts
+// the conv accumulation runs as gather kernels in assembly (see
+// lutvec.go), with portable Go twins on every other host. The pre-PR
 // naive kernel is retained behind WithReferenceKernel for bit-for-bit
 // parity tests and the BenchmarkTiledVsSeed regression gate.
 //
@@ -165,12 +167,12 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 			outW := (w+2*t.Pad-t.K)/t.Stride + 1
 			p := outH * outW
 			kk := t.InC * t.K * t.K
-			q.hint.cols = max(q.hint.cols, kk*p)
-			q.hint.p = max(q.hint.p, p)
-			// The sparse skip-zero kernel accumulates whole pixel rows
-			// plus an equally sized pixel-interleaved quad scratch.
-			q.hint.acc = max(q.hint.acc, 2*convBlock*p)
-			q.hint.kk = max(q.hint.kk, kk)
+			// Column matrix rows are padded to the vector lane width;
+			// 1x1-output layers accumulate one value per channel.
+			ld := lanePad(p)
+			q.hint.cols = max(q.hint.cols, kk*ld)
+			q.hint.p = max(q.hint.p, ld)
+			q.hint.acc = max(q.hint.acc, convBlock*min(convTile, ld), t.OutC)
 			shape = []int{t.OutC, outH, outW}
 		case *nn.Dense:
 			q.layers = append(q.layers, newQDense(t, inQP, outQP, bits, last, opts.ApproxDense))

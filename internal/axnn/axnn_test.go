@@ -232,9 +232,9 @@ func TestZeroPointCorrectionExactness(t *testing.T) {
 
 	// Direct affine computation for output (oc=0, oi=0, oj=0).
 	kk := qc.inC * qc.k * qc.k
-	cols := make([]uint8, kk*((8+2*qc.pad-qc.k)/qc.stride+1)*((8+2*qc.pad-qc.k)/qc.stride+1))
-	im2colCodes(in.data, qc.inC, 8, 8, qc.k, qc.stride, qc.pad, in.qp.Zero, cols)
-	p := len(cols) / kk
+	p := ((8+2*qc.pad-qc.k)/qc.stride + 1) * ((8+2*qc.pad-qc.k)/qc.stride + 1)
+	cols := make([]uint8, kk*p)
+	im2colCodes(in.data, qc.inC, 8, 8, qc.k, qc.stride, qc.pad, in.qp.Zero, cols, p)
 	var acc int32
 	for qi := 0; qi < kk; qi++ {
 		a := int32(cols[qi*p+0]) - int32(qc.inQP.Zero)

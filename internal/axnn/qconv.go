@@ -23,16 +23,18 @@ import (
 // work in the accelerator and are computed exactly here, mirroring the
 // TFApprox formulation.
 //
-// The accumulation runs as a tiled, weight-stationary GEMM over the
-// im2col matrix: the transposed multiplier table keeps each weight
-// code's 256 possible products in one contiguous 512-byte row,
-// convBlock output channels share each pass over the column data, and
-// the pixel dimension is cut into convTile-sized strips so the working
-// set (column strip + block accumulators + 2 KB of LUT rows) stays
-// L1/L2-resident. Integer accumulation is order-independent, so the
-// tiled kernel is bit-for-bit identical to the retained reference
-// kernel (refForward below), which tests pin for every registered
-// multiplier.
+// The accumulation runs as a tiled, weight-stationary GEMM over one
+// im2col matrix for the whole chunk of samples: the transposed
+// multiplier table keeps each weight code's 256 possible products in
+// one contiguous 512-byte row, convBlock output channels share each
+// pass over the column data, and the column dimension is cut into
+// convTile-sized strips so the working set (column strip + block
+// accumulators + 2 KB of LUT rows) stays L1/L2-resident. On AVX2 hosts
+// the strips run through the gather kernels of lutvec_amd64.s, with
+// the portable accBlock*/dot* loops below as their twins everywhere
+// else. Integer accumulation is order-independent, so every kernel is
+// bit-for-bit identical to the retained reference kernel (refForward
+// in ref.go), which tests pin for every registered multiplier.
 type qConv struct {
 	inC, outC, k, stride, pad int
 
@@ -89,207 +91,154 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 	p := outH * outW
 	kk := c.inC * c.k * c.k
 	inVol := c.inC * h * w
-
-	cols := u8(&ws.cols, kk*p)
-	aSum := i32(&ws.aSum, p)
-	nz := u32(&ws.nz, kk*p)
-	nzOff := i32(&ws.nzOff, kk+1)
-	tile := min(convTile, p)
-
 	lutT := net.mulT
 	zaCode := in.qp.Zero
 
 	out := qtensor{n: in.n, shape: []int{c.outC, outH, outW}, data: ws.nextAct(in.n * c.outC * p), qp: c.outQP}
-	for s := 0; s < in.n; s++ {
-		x := in.data[s*inVol : (s+1)*inVol]
-		// Route the sample on the raw activation plane: the fraction of
-		// codes differing from the zero-point is (border effects aside)
-		// the column matrix's nonzero fraction, and counting it here
-		// costs one pass over the input instead of one over the k*k
-		// times larger im2col output.
-		nzX := 0
-		for _, a := range x {
-			if a != zaCode {
-				nzX++
-			}
-		}
-
-		sOut := out.data[s*c.outC*p:]
-		if p == 1 {
+	if p == 1 {
+		// 1x1 output plane (LeNet's conv3): the GEMM degenerates to one
+		// dot product per sample and output channel, accumulated in
+		// registers — no strip scratch, no tiles, no zeroing.
+		col := u8(&ws.cols, kk)
+		aSum := i32(&ws.aSum, 1)
+		acc := i32(&ws.acc, c.outC)
+		for s := 0; s < in.n; s++ {
 			// im2col in the code domain; padding contributes the
 			// zero-point code (real value 0), as in the hardware
 			// dataflow.
-			im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols)
+			im2colCodes(in.data[s*inVol:(s+1)*inVol], c.inC, h, w, c.k, c.stride, c.pad, zaCode, col, 1)
 			var colSum int32
-			for _, a := range cols[:kk] {
+			for _, a := range col {
 				colSum += int32(a)
 			}
 			aSum[0] = colSum
-			// 1x1 output plane (LeNet's conv3): the GEMM degenerates to
-			// one dot product per output channel. Accumulate in registers
-			// — no strip scratch, no tiles, no zeroing.
-			acc := i32(&ws.acc, convBlock)
-			col := cols[:kk]
-			for oc0 := 0; oc0 < c.outC; oc0 += convBlock {
-				nb := min(convBlock, c.outC-oc0)
-				switch nb {
-				case convBlock:
-					acc[0], acc[1], acc[2], acc[3] = dot4(lutT, col,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk],
-						c.wCodes[(oc0+2)*kk:(oc0+3)*kk],
-						c.wCodes[(oc0+3)*kk:(oc0+4)*kk])
-				case 3:
-					acc[0], acc[1] = dot2(lutT, col,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk])
-					acc[2] = dot1(lutT, col, c.wCodes[(oc0+2)*kk:(oc0+3)*kk])
-				case 2:
-					acc[0], acc[1] = dot2(lutT, col,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk])
-				default:
-					acc[0] = dot1(lutT, col, c.wCodes[oc0*kk:(oc0+1)*kk])
-				}
-				c.epilogue(net, acc, aSum, sOut, oc0, nb, 0, 1, 1)
-			}
-			continue
+			c.dots(lutT, col, acc)
+			c.epilogue(net, acc, 1, aSum, out.data[s*c.outC:], 0, c.outC, 1)
 		}
-		if nzX*sparseDen <= len(x)*sparseNum {
-			// Sparse sample: decompose acc = sum_q row_q[za] (a per-
-			// channel constant) + corrections over nonzero codes only.
-			// Integer-exact, so bit-identical to the dense walk.
-			var cnt int
-			if c.stride == 1 {
-				// Unit stride never materialises the column matrix for
-				// sparse samples: the view is read off the (much
-				// smaller) input plane directly.
-				cnt = nzFromInput(x, c.inC, h, w, c.k, c.pad, outH, outW, zaCode, nz, nzOff[:kk+1])
-			} else {
-				im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols)
-				cnt = nzFromCols(cols, p, kk, zaCode, nz, nzOff[:kk+1])
-			}
-			// Reconstruct the per-pixel code sums from the sparse view:
-			// every column entry contributes za except the recorded
-			// nonzero codes. Integer-exact, same value the dense scan
-			// would produce.
-			za32 := int32(zaCode)
-			colBase := int32(kk) * za32
-			for i := range aSum {
-				aSum[i] = colBase
-			}
-			for _, pk := range nz[:cnt] {
-				aSum[pk>>8] += int32(pk&0xff) - za32
-			}
-			acc := i32(&ws.acc, 2*convBlock*p)
-			for oc0 := 0; oc0 < c.outC; oc0 += convBlock {
-				nb := min(convBlock, c.outC-oc0)
-				switch nb {
-				case convBlock:
-					sparseQuad4(lutT, nz, nzOff, kk, zaCode,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk],
-						c.wCodes[(oc0+2)*kk:(oc0+3)*kk],
-						c.wCodes[(oc0+3)*kk:(oc0+4)*kk],
-						acc[0:4*p], acc[4*p:8*p])
-				case 3:
-					sparseBlock2(lutT, nz, nzOff, kk, zaCode,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk],
-						acc[0:p], acc[p:2*p])
-					sparseBlock1(lutT, nz, nzOff, kk, zaCode,
-						c.wCodes[(oc0+2)*kk:(oc0+3)*kk], acc[2*p:3*p])
-				case 2:
-					sparseBlock2(lutT, nz, nzOff, kk, zaCode,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk],
-						acc[0:p], acc[p:2*p])
-				default:
-					sparseBlock1(lutT, nz, nzOff, kk, zaCode,
-						c.wCodes[oc0*kk:(oc0+1)*kk], acc[0:p])
-				}
-				c.epilogue(net, acc, aSum, sOut, oc0, nb, 0, p, p)
-			}
-			continue
-		}
+		return out, nil
+	}
 
-		// Dense sample: materialise the column matrix and take per-pixel
-		// code sums in one sequential pass each.
-		im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols)
-		clear(aSum)
-		for q := 0; q < kk; q++ {
-			col := cols[q*p : (q+1)*p]
-			sum := aSum[:len(col)]
-			for i, a := range col {
-				sum[i] += int32(a)
-			}
+	// One column matrix for the whole chunk: sample s fills columns
+	// [s*p, (s+1)*p) of every row, and the rows are padded to a
+	// multiple of the vector lane width with the zero-point code.
+	np := in.n * p
+	ld := lanePad(np)
+	cols := u8(&ws.cols, kk*ld)
+	for s := 0; s < in.n; s++ {
+		im2colCodes(in.data[s*inVol:(s+1)*inVol], c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols[s*p:], ld)
+	}
+	aSum := i32(&ws.aSum, ld)
+	clear(aSum)
+	for q := 0; q < kk; q++ {
+		col := cols[q*ld : (q+1)*ld]
+		for i := np; i < ld; i++ {
+			col[i] = zaCode
 		}
+		sum := aSum[:len(col)]
+		for i, a := range col {
+			sum[i] += int32(a)
+		}
+	}
 
-		acc := i32(&ws.acc, convBlock*tile)
-		pack := u64(&ws.pack, convBlock*(convTile/2))
-		for pt := 0; pt < p; pt += tile {
-			pe := min(pt+tile, p)
-			tw := pe - pt
-			for oc0 := 0; oc0 < c.outC; oc0 += convBlock {
-				nb := min(convBlock, c.outC-oc0)
-				clear(acc[:nb*tw])
-				switch nb {
-				case convBlock:
-					accBlock4(lutT, pack, cols, p, pt, pe, kk,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk],
-						c.wCodes[(oc0+2)*kk:(oc0+3)*kk],
-						c.wCodes[(oc0+3)*kk:(oc0+4)*kk],
-						acc[0:tw], acc[tw:2*tw], acc[2*tw:3*tw], acc[3*tw:4*tw])
-				case 3:
-					accBlock2(lutT, pack, cols, p, pt, pe, kk,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk],
-						acc[0:tw], acc[tw:2*tw])
-					accBlock1(lutT, pack, cols, p, pt, pe, kk,
-						c.wCodes[(oc0+2)*kk:(oc0+3)*kk], acc[2*tw:3*tw])
-				case 2:
-					accBlock2(lutT, pack, cols, p, pt, pe, kk,
-						c.wCodes[(oc0+0)*kk:(oc0+1)*kk],
-						c.wCodes[(oc0+1)*kk:(oc0+2)*kk],
-						acc[0:tw], acc[tw:2*tw])
-				default:
-					accBlock1(lutT, pack, cols, p, pt, pe, kk,
-						c.wCodes[oc0*kk:(oc0+1)*kk], acc[0:tw])
-				}
-				c.epilogue(net, acc, aSum, sOut, oc0, nb, pt, pe, p)
+	tile := min(convTile, ld)
+	acc := i32(&ws.acc, convBlock*tile)
+	pack := u64(&ws.pack, convBlock*(convTile/2))
+	for pt := 0; pt < ld; pt += tile {
+		pe := min(pt+tile, ld)
+		tw := pe - pt
+		for oc0 := 0; oc0 < c.outC; oc0 += convBlock {
+			nb := min(convBlock, c.outC-oc0)
+			c.accTile(lutT, pack, cols, ld, pt, pe, kk, oc0, nb, acc[:nb*tw])
+			// Requantize the tile's live columns sample by sample.
+			for lo := pt; lo < min(pe, np); {
+				s := lo / p
+				hi := min(pe, np, (s+1)*p)
+				c.epilogue(net, acc[lo-pt:], tw, aSum[lo:hi], out.data[s*c.outC*p+lo-s*p:], oc0, nb, p)
+				lo = hi
 			}
 		}
 	}
 	return out, nil
 }
 
-// sparseNum/sparseDen: a sample routes to the skip-zero kernel when its
-// nonzero-code fraction is at most sparseNum/sparseDen. The sparse
-// walk costs noticeably more per visited entry than the packed dense
-// kernel per element (scattered read-modify-writes vs paired
-// sequential accumulation), so it only wins once skipping removes a
-// solid majority of the work; profiled on lenet5-digits, the
-// crossover sits near half the entries zero.
-const (
-	sparseNum = 9
-	sparseDen = 20
-)
-
-// epilogue requantizes one register block of accumulator rows into the
-// output tensor; the arithmetic is exactly the reference kernel's.
-func (c *qConv) epilogue(net *Network, acc, aSum []int32, sOut []uint8, oc0, nb, pt, pe, p int) {
-	kk := c.inC * c.k * c.k
+// accTile accumulates output channels [oc0, oc0+nb) over the column
+// strip [pt, pe) of the ld-strided column matrix into acc, one row of
+// pe-pt accumulators per channel. With AVX2 each (channel, reduction
+// row) pair is one row-kernel call over the strip; otherwise the
+// portable pair-packed kernels run the whole block.
+func (c *qConv) accTile(lutT []uint16, pack []uint64, cols []uint8, ld, pt, pe, kk, oc0, nb int, acc []int32) {
 	tw := pe - pt
+	clear(acc)
+	w := c.wCodes[oc0*kk : (oc0+nb)*kk]
+	if vecLUT {
+		for q := 0; q < kk; q++ {
+			col := cols[q*ld+pt : q*ld+pe]
+			for j := 0; j < nb; j++ {
+				lutRowVec(lutT, w[j*kk+q], col, acc[j*tw:(j+1)*tw])
+			}
+		}
+		return
+	}
+	switch nb {
+	case convBlock:
+		accBlock4(lutT, pack, cols, ld, pt, pe, kk,
+			w[0*kk:1*kk], w[1*kk:2*kk], w[2*kk:3*kk], w[3*kk:4*kk],
+			acc[0:tw], acc[tw:2*tw], acc[2*tw:3*tw], acc[3*tw:4*tw])
+	case 3:
+		accBlock2(lutT, pack, cols, ld, pt, pe, kk, w[0:kk], w[kk:2*kk], acc[0:tw], acc[tw:2*tw])
+		accBlock1(lutT, pack, cols, ld, pt, pe, kk, w[2*kk:3*kk], acc[2*tw:3*tw])
+	case 2:
+		accBlock2(lutT, pack, cols, ld, pt, pe, kk, w[0:kk], w[kk:2*kk], acc[0:tw], acc[tw:2*tw])
+	default:
+		accBlock1(lutT, pack, cols, ld, pt, pe, kk, w[0:kk], acc[0:tw])
+	}
+}
+
+// dots fills acc[oc] with the LUT dot product of channel oc's weight
+// row and the single im2col column col: the dot kernel per channel
+// with AVX2, the portable register-blocked dot4/dot2/dot1 otherwise.
+func (c *qConv) dots(lutT []uint16, col []uint8, acc []int32) {
+	kk := len(col)
+	if vecLUT {
+		for oc := range acc {
+			acc[oc] = lutDotVec(lutT, c.wCodes[oc*kk:(oc+1)*kk], col)
+		}
+		return
+	}
+	for oc0 := 0; oc0 < c.outC; oc0 += convBlock {
+		w := c.wCodes[oc0*kk:]
+		switch min(convBlock, c.outC-oc0) {
+		case convBlock:
+			acc[oc0], acc[oc0+1], acc[oc0+2], acc[oc0+3] = dot4(lutT, col,
+				w[0*kk:1*kk], w[1*kk:2*kk], w[2*kk:3*kk], w[3*kk:4*kk])
+		case 3:
+			acc[oc0], acc[oc0+1] = dot2(lutT, col, w[0:kk], w[kk:2*kk])
+			acc[oc0+2] = dot1(lutT, col, w[2*kk:3*kk])
+		case 2:
+			acc[oc0], acc[oc0+1] = dot2(lutT, col, w[0:kk], w[kk:2*kk])
+		default:
+			acc[oc0] = dot1(lutT, col, w[0:kk])
+		}
+	}
+}
+
+// epilogue requantizes one register block of accumulators into the
+// output tensor; the arithmetic is exactly the reference kernel's.
+// Channel oc0+j's accumulators start at acc[j*stride] and cover the
+// len(aSum) output pixels whose code sums aSum holds; they land at
+// sOut[oc*p:], which starts at the first of those pixels.
+func (c *qConv) epilogue(net *Network, acc []int32, stride int, aSum []int32, sOut []uint8, oc0, nb, p int) {
+	kk := c.inC * c.k * c.k
+	n := len(aSum)
 	za := int32(c.inQP.Zero)
 	for j := 0; j < nb; j++ {
 		oc := oc0 + j
-		accj := acc[j*tw : (j+1)*tw]
+		accj := acc[j*stride : j*stride+n]
 		zw := int32(c.wQP[oc].Zero)
 		scale := c.inQP.Scale * c.wQP[oc].Scale
 		fixed := int32(kk)*za*zw - za*c.wSum[oc]
 		bias := c.bias[oc]
-		dst := sOut[oc*p+pt : oc*p+pe]
+		dst := sOut[oc*p : oc*p+n]
 		if net.noZP {
 			// Ablation: raw LUT sums without the correction adders.
 			for i := range accj {
@@ -297,9 +246,8 @@ func (c *qConv) epilogue(net *Network, acc, aSum []int32, sOut []uint8, oc0, nb,
 			}
 			continue
 		}
-		sumT := aSum[pt:pe]
 		for i := range accj {
-			v := float32(float32(accj[i]-zw*sumT[i]+fixed)*scale) + bias
+			v := float32(float32(accj[i]-zw*aSum[i]+fixed)*scale) + bias
 			dst[i] = c.outQP.Quantize(v)
 		}
 	}
@@ -491,185 +439,17 @@ func dot1(lutT []uint16, col []uint8, w0 []uint8) int32 {
 	return acc0
 }
 
-// sparseQuad4 is the skip-zero counterpart of accBlock4, decomposing
-// each accumulator as the per-channel sum of the reduction rows'
-// zero-point products (what a pixel of all-zero codes accumulates)
-// plus corrections for the entries whose code differs from the
-// zero-point, taken from the packed sparse view built in forward.
-// Corrections land in quad, a pixel-interleaved scratch (the four
-// channels of pixel i at quad[4i..4i+4]) so each entry touches one
-// cache line through one bounds check; the final pass de-interleaves
-// into the four rows of acc and adds the base term. Integer addition
-// is order-independent, so results are bit-identical to the dense
-// kernels. Rows are OVERWRITTEN, not accumulated into.
-func sparseQuad4(lutT []uint16, nz []uint32, nzOff []int32, kk int, zaCode uint8, w0, w1, w2, w3 []uint8, acc, quad []int32) {
-	t := lutArr(lutT)
-	za := uint16(zaCode)
-	w0 = w0[:kk]
-	w1 = w1[:kk]
-	w2 = w2[:kk]
-	w3 = w3[:kk]
-	clear(quad)
-	var base0, base1, base2, base3 int32
-	for q := 0; q < kk; q++ {
-		h0 := uint16(w0[q]) << 8
-		h1 := uint16(w1[q]) << 8
-		h2 := uint16(w2[q]) << 8
-		h3 := uint16(w3[q]) << 8
-		z0 := int32(t[h0|za])
-		z1 := int32(t[h1|za])
-		z2 := int32(t[h2|za])
-		z3 := int32(t[h3|za])
-		base0 += z0
-		base1 += z1
-		base2 += z2
-		base3 += z3
-		for _, pk := range nz[nzOff[q]:nzOff[q+1]] {
-			j := int(pk>>8) * 4
-			v := uint16(pk & 0xff)
-			s := quad[j : j+4 : j+4]
-			s[0] += int32(t[h0|v]) - z0
-			s[1] += int32(t[h1|v]) - z1
-			s[2] += int32(t[h2|v]) - z2
-			s[3] += int32(t[h3|v]) - z3
-		}
-	}
-	p := len(quad) / 4
-	a0 := acc[0*p : 1*p]
-	a1 := acc[1*p : 2*p]
-	a2 := acc[2*p : 3*p]
-	a3 := acc[3*p : 4*p]
-	for i := range a0 {
-		a0[i] = quad[4*i] + base0
-		a1[i] = quad[4*i+1] + base1
-		a2[i] = quad[4*i+2] + base2
-		a3[i] = quad[4*i+3] + base3
-	}
-}
-
-// sparseBlock2 is the two-row skip-zero variant.
-func sparseBlock2(lutT []uint16, nz []uint32, nzOff []int32, kk int, zaCode uint8, w0, w1 []uint8, a0, a1 []int32) {
-	t := lutArr(lutT)
-	za := uint16(zaCode)
-	w0 = w0[:kk]
-	w1 = w1[:kk]
-	var base0, base1 int32
-	for q := 0; q < kk; q++ {
-		base0 += int32(t[uint16(w0[q])<<8|za])
-		base1 += int32(t[uint16(w1[q])<<8|za])
-	}
-	a1 = a1[:len(a0)] // i < len(a0) == len(a1): fill loop stays check-free
-	for i := range a0 {
-		a0[i] = base0
-		a1[i] = base1
-	}
-	for q := 0; q < kk; q++ {
-		h0 := uint16(w0[q]) << 8
-		h1 := uint16(w1[q]) << 8
-		z0 := int32(t[h0|za])
-		z1 := int32(t[h1|za])
-		for _, pk := range nz[nzOff[q]:nzOff[q+1]] {
-			i := int(pk >> 8)
-			v := uint16(pk & 0xff)
-			a0[i] += int32(t[h0|v]) - z0
-			a1[i] += int32(t[h1|v]) - z1
-		}
-	}
-}
-
-// sparseBlock1 is the single-row skip-zero variant.
-func sparseBlock1(lutT []uint16, nz []uint32, nzOff []int32, kk int, zaCode uint8, w0 []uint8, a0 []int32) {
-	t := lutArr(lutT)
-	za := uint16(zaCode)
-	w0 = w0[:kk]
-	var base0 int32
-	for q := 0; q < kk; q++ {
-		base0 += int32(t[uint16(w0[q])<<8|za])
-	}
-	for i := range a0 {
-		a0[i] = base0
-	}
-	for q := 0; q < kk; q++ {
-		h0 := uint16(w0[q]) << 8
-		z0 := int32(t[h0|za])
-		for _, pk := range nz[nzOff[q]:nzOff[q+1]] {
-			i := int(pk >> 8)
-			v := uint16(pk & 0xff)
-			a0[i] += int32(t[h0|v]) - z0
-		}
-	}
-}
-
-// nzFromInput builds the packed sparse column view (pixel<<8 | code
-// per entry, rows delimited by nzOff) straight from the input
-// activation plane of a stride-1 convolution, never materialising the
-// dense column matrix: each kernel offset (ci, ki, kj) reads one
-// shifted window of the input rows, and out-of-image positions hold
-// the zero-point code, so they can never yield an entry. Entry order
-// (ascending q, then ascending pixel) matches nzFromCols exactly.
-func nzFromInput(x []uint8, inC, h, w, k, pad, outH, outW int, zaCode uint8, nz []uint32, nzOff []int32) int {
-	cnt := 0
-	q := 0
-	for ci := 0; ci < inC; ci++ {
-		plane := x[ci*h*w : (ci+1)*h*w]
-		for ki := 0; ki < k; ki++ {
-			oi0 := max(0, pad-ki)
-			oi1 := min(outH, h+pad-ki)
-			for kj := 0; kj < k; kj++ {
-				nzOff[q] = int32(cnt)
-				q++
-				j0 := max(0, pad-kj)
-				j1 := min(outW, w+pad-kj)
-				off := kj - pad
-				for oi := oi0; oi < oi1; oi++ {
-					row := plane[(oi+ki-pad)*w : (oi+ki-pad)*w+w]
-					base := uint32(oi*outW) << 8
-					for oj := j0; oj < j1; oj++ {
-						a := row[oj+off]
-						// Unconditional store + conditional bump
-						// compiles branch-free; zero-point entries are
-						// overwritten by the next nonzero one.
-						nz[cnt] = (base + uint32(oj)<<8) | uint32(a)
-						if a != zaCode {
-							cnt++
-						}
-					}
-				}
-			}
-		}
-	}
-	nzOff[q] = int32(cnt)
-	return cnt
-}
-
-// nzFromCols builds the same packed sparse view from an already
-// materialised column matrix — the fallback for strided convolutions.
-func nzFromCols(cols []uint8, p, kk int, zaCode uint8, nz []uint32, nzOff []int32) int {
-	cnt := 0
-	for q := 0; q < kk; q++ {
-		nzOff[q] = int32(cnt)
-		for i, a := range cols[q*p : (q+1)*p] {
-			nz[cnt] = uint32(i)<<8 | uint32(a)
-			if a != zaCode {
-				cnt++
-			}
-		}
-	}
-	nzOff[kk] = int32(cnt)
-	return cnt
-}
-
 // im2colCodes is Im2col over uint8 codes with a configurable padding
-// code (the activation zero-point).
-func im2colCodes(x []uint8, inC, h, w, k, stride, pad int, padCode uint8, cols []uint8) {
+// code (the activation zero-point). Row q of the column matrix starts
+// at cols[q*ld], so a chunk's samples can share one matrix.
+func im2colCodes(x []uint8, inC, h, w, k, stride, pad int, padCode uint8, cols []uint8, ld int) {
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
-	p := outH * outW
 	for ci := 0; ci < inC; ci++ {
 		base := ci * h * w
 		for ki := 0; ki < k; ki++ {
 			for kj := 0; kj < k; kj++ {
-				row := ((ci*k+ki)*k + kj) * p
+				row := ((ci*k+ki)*k + kj) * ld
 				idx := 0
 				for oi := 0; oi < outH; oi++ {
 					ii := oi*stride + ki - pad

@@ -15,14 +15,7 @@ type workspace struct {
 	acc  []int32
 	vals []float32
 
-	// nz and nzOff hold the sparse im2col view used by the skip-zero
-	// conv kernel: nz packs (pixel<<8 | code) for every column entry
-	// whose code differs from the activation zero-point, and
-	// nzOff[q]:nzOff[q+1] bounds row q's entries.
-	nz    []uint32
-	nzOff []int32
-
-	// pack holds the dense kernels' packed pixel-pair accumulators
+	// pack holds the portable kernels' packed pixel-pair accumulators
 	// (convBlock lanes of convTile/2 uint64 halves); each kernel call
 	// clears only the pairs its tile actually uses.
 	pack []uint64
@@ -37,24 +30,21 @@ type workspace struct {
 // wsHint carries the per-sample buffer maxima derived at Compile time
 // (activation buffers additionally scale with the runtime chunk size).
 type wsHint struct {
-	cols  int // max im2col footprint: kk * p over conv layers
-	p     int // max conv pixel count (aSum)
+	cols  int // max one-sample im2col footprint: kk * padded p over conv layers
+	p     int // max padded conv pixel count (aSum)
 	acc   int // register-block accumulator footprint
 	vol   int // max per-sample activation volume (any layer, and input)
 	dense int // max dense output width (vals, per sample)
-	kk    int // max conv reduction depth (nzOff)
 }
 
 func newWorkspace(h wsHint) *workspace {
 	return &workspace{
-		cols:  make([]uint8, h.cols),
-		aSum:  make([]int32, h.p),
-		acc:   make([]int32, h.acc),
-		vals:  make([]float32, h.dense),
-		nz:    make([]uint32, h.cols),
-		nzOff: make([]int32, h.kk+1),
-		pack:  make([]uint64, convBlock*(convTile/2)),
-		act:   [2][]uint8{make([]uint8, h.vol), make([]uint8, h.vol)},
+		cols: make([]uint8, h.cols),
+		aSum: make([]int32, h.p),
+		acc:  make([]int32, h.acc),
+		vals: make([]float32, h.dense),
+		pack: make([]uint64, convBlock*(convTile/2)),
+		act:  [2][]uint8{make([]uint8, h.vol), make([]uint8, h.vol)},
 	}
 }
 
@@ -90,13 +80,6 @@ func i32(buf *[]int32, n int) []int32 {
 func f32(buf *[]float32, n int) []float32 {
 	if cap(*buf) < n {
 		*buf = make([]float32, n)
-	}
-	return (*buf)[:n]
-}
-
-func u32(buf *[]uint32, n int) []uint32 {
-	if cap(*buf) < n {
-		*buf = make([]uint32, n)
 	}
 	return (*buf)[:n]
 }

@@ -43,7 +43,7 @@ func glyphAt(d int, gx, gy float64) float64 {
 			if dy == 0 {
 				wy = 1 - fy
 			}
-			v += ink * wx * wy
+			v += float64(ink * wx * wy)
 		}
 	}
 	return v
@@ -56,18 +56,18 @@ func glyphAt(d int, gx, gy float64) float64 {
 func renderDigit(d int, rng *rand.Rand) *tensor.T {
 	t := tensor.New(1, 28, 28)
 	// Random glyph-to-canvas transform: scale, shear, offset.
-	sx := 2.6 + rng.Float64()*1.8 // horizontal pixels per glyph cell
-	sy := 2.3 + rng.Float64()*1.3
-	shear := (rng.Float64() - 0.5) * 0.7
-	ox := 3.0 + rng.Float64()*8.0
-	oy := 1.5 + rng.Float64()*5.0
-	ink := 0.55 + rng.Float64()*0.45
+	sx := 2.6 + float64(rng.Float64()*1.8) // horizontal pixels per glyph cell
+	sy := 2.3 + float64(rng.Float64()*1.3)
+	shear := (float64(rng.Float64()) - 0.5) * 0.7
+	ox := 3.0 + float64(rng.Float64()*8.0)
+	oy := 1.5 + float64(rng.Float64()*5.0)
+	ink := 0.55 + float64(rng.Float64()*0.45)
 	bg := float32(0)
 	for y := 0; y < 28; y++ {
 		for x := 0; x < 28; x++ {
 			// Inverse map canvas -> glyph coordinates.
 			gy := (float64(y) - oy) / sy
-			gx := (float64(x) - ox - shear*(float64(y)-oy)) / sx
+			gx := (float64(x) - ox - float64(shear*(float64(y)-oy))) / sx
 			v := glyphAt(d, gx, gy)
 			t.Data[y*28+x] = clamp01(bg + float32(v*ink))
 		}

@@ -31,19 +31,19 @@ func renderObject(class int, rng *rand.Rand) *tensor.T {
 	bg := randColor(rng)
 	fg := contrastColor(bg, rng)
 	// Background with a soft gradient.
-	gx := rng.Float64()*0.4 - 0.2
-	gy := rng.Float64()*0.4 - 0.2
+	gx := float64(rng.Float64()*0.4) - 0.2
+	gy := float64(rng.Float64()*0.4) - 0.2
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
-			sh := float32(gx*float64(x)/32 + gy*float64(y)/32)
+			sh := float32(float64(gx*float64(x)/32) + float64(gy*float64(y)/32))
 			for ch := 0; ch < 3; ch++ {
 				t.Data[ch*1024+y*32+x] = clamp01(bg[ch] + sh)
 			}
 		}
 	}
-	cx := 12.0 + rng.Float64()*8.0
-	cy := 12.0 + rng.Float64()*8.0
-	r := 6.0 + rng.Float64()*5.0
+	cx := 12.0 + float64(rng.Float64()*8.0)
+	cy := 12.0 + float64(rng.Float64()*8.0)
+	r := 6.0 + float64(rng.Float64()*5.0)
 	drawShape(t, class, cx, cy, r, fg, rng)
 	addNoise(t, 0.14, rng)
 	return t
@@ -60,7 +60,7 @@ func contrastColor(bg [3]float32, rng *rand.Rand) [3]float32 {
 		c := randColor(rng)
 		var d float32
 		for i := 0; i < 3; i++ {
-			d += (c[i] - bg[i]) * (c[i] - bg[i])
+			d += float32((c[i] - bg[i]) * (c[i] - bg[i]))
 		}
 		if d > 0.45 {
 			return c
@@ -76,7 +76,7 @@ func setPix(t *tensor.T, x, y int, fg [3]float32, w float32) {
 	}
 	for ch := 0; ch < 3; ch++ {
 		i := ch*1024 + y*32 + x
-		t.Data[i] = clamp01(t.Data[i]*(1-w) + fg[ch]*w)
+		t.Data[i] = clamp01(float32(t.Data[i]*(1-w)) + float32(fg[ch]*w))
 	}
 }
 
@@ -90,7 +90,7 @@ func drawShape(t *tensor.T, class int, cx, cy, r float64, fg [3]float32, rng *ra
 	case 1: // filled square
 		forEachPix(func(x, y int) float32 {
 			dx, dy := math.Abs(float64(x)-cx), math.Abs(float64(y)-cy)
-			return edge(r*0.9 - math.Max(dx, dy))
+			return edge(float64(r*0.9) - math.Max(dx, dy))
 		}, t, fg)
 	case 2: // triangle (upward)
 		forEachPix(func(x, y int) float32 {
@@ -98,11 +98,11 @@ func drawShape(t *tensor.T, class int, cx, cy, r float64, fg [3]float32, rng *ra
 			if fy < -r || fy > r*0.7 {
 				return 0
 			}
-			half := (fy + r) / (1.7 * r) * r
+			half := float64((fy + r) / (1.7 * r) * r)
 			return edge(half - math.Abs(fx))
 		}, t, fg)
 	case 3: // horizontal stripes
-		period := 3.0 + rng.Float64()*3.0
+		period := 3.0 + float64(rng.Float64()*3.0)
 		phase := rng.Float64() * period
 		forEachPix(func(x, y int) float32 {
 			if math.Mod(float64(y)+phase, period) < period/2 {
@@ -111,7 +111,7 @@ func drawShape(t *tensor.T, class int, cx, cy, r float64, fg [3]float32, rng *ra
 			return 0
 		}, t, fg)
 	case 4: // vertical stripes
-		period := 3.0 + rng.Float64()*3.0
+		period := 3.0 + float64(rng.Float64()*3.0)
 		phase := rng.Float64() * period
 		forEachPix(func(x, y int) float32 {
 			if math.Mod(float64(x)+phase, period) < period/2 {
@@ -120,7 +120,7 @@ func drawShape(t *tensor.T, class int, cx, cy, r float64, fg [3]float32, rng *ra
 			return 0
 		}, t, fg)
 	case 5: // checkerboard
-		cell := 3.0 + rng.Float64()*2.0
+		cell := 3.0 + float64(float64(rng.Float64())*2.0)
 		forEachPix(func(x, y int) float32 {
 			if (int(float64(x)/cell)+int(float64(y)/cell))%2 == 0 {
 				return 0.85
@@ -130,7 +130,7 @@ func drawShape(t *tensor.T, class int, cx, cy, r float64, fg [3]float32, rng *ra
 	case 6: // ring
 		forEachPix(func(x, y int) float32 {
 			d := dist(x, y, cx, cy)
-			return edge(r*0.35 - math.Abs(d-r*0.8))
+			return edge(float64(r*0.35) - math.Abs(d-float64(r*0.8)))
 		}, t, fg)
 	case 7: // cross
 		forEachPix(func(x, y int) float32 {
@@ -147,7 +147,7 @@ func drawShape(t *tensor.T, class int, cx, cy, r float64, fg [3]float32, rng *ra
 			sign = -1
 		}
 		forEachPix(func(x, y int) float32 {
-			v := (float64(x) + sign*float64(y)) / 64.0
+			v := (float64(x) + float64(sign*float64(y))) / 64.0
 			return float32(math.Mod(math.Abs(v), 1.0)) * 0.9
 		}, t, fg)
 	case 9: // blob cluster
@@ -155,7 +155,7 @@ func drawShape(t *tensor.T, class int, cx, cy, r float64, fg [3]float32, rng *ra
 		type blob struct{ x, y, r float64 }
 		blobs := make([]blob, nb)
 		for i := range blobs {
-			blobs[i] = blob{cx + rng.Float64()*10 - 5, cy + rng.Float64()*10 - 5, 2 + rng.Float64()*3}
+			blobs[i] = blob{cx + float64(rng.Float64()*10) - 5, cy + float64(rng.Float64()*10) - 5, 2 + float64(rng.Float64()*3)}
 		}
 		forEachPix(func(x, y int) float32 {
 			var best float32
@@ -181,7 +181,7 @@ func forEachPix(weight func(x, y int) float32, t *tensor.T, fg [3]float32) {
 
 func dist(x, y int, cx, cy float64) float64 {
 	dx, dy := float64(x)-cx, float64(y)-cy
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // edge converts a signed distance to a soft coverage weight.

@@ -131,7 +131,7 @@ func normEnergy(m axmult.Multiplier) float64 {
 	if am, ok := m.(axmult.ArrayMult); ok && am.ApproxCols > 0 {
 		// Each approximate column saves roughly 20% of its cell energy;
 		// 16 columns total.
-		return 1 - 0.2*float64(am.ApproxCols)/16
+		return 1 - float64(0.2*float64(am.ApproxCols)/16)
 	}
 	return 1
 }
@@ -147,17 +147,17 @@ func structuralCost(m axmult.Multiplier) (float64, float64) {
 		return costDropColumns(t.VBreak, t.HRows), float64(16-int(t.VBreak)) / exactDepth
 	case axmult.Perforated:
 		dropped := bits.OnesCount8(t.Rows)
-		return float64(64-8*dropped)/64.0*cellShare() + baseShare(), 1
+		return float64(float64(64-8*dropped)/64.0*cellShare()) + baseShare(), 1
 	case axmult.LowOR:
 		// The al*bl sub-multiplier (k*k cells) collapses to k OR gates.
 		k := float64(t.K)
-		return (64-k*k+k)/64.0*cellShare() + baseShare(), 1
+		return float64((64-float64(k*k)+k)/64.0*cellShare()) + baseShare(), 1
 	case axmult.DRUM:
 		// Two k-bit mantissa multipliers plus leading-one detectors and
 		// shifters; EvoApprox-class DRUM(k) area is ~(k/8)^2 of the full
 		// array plus ~15% steering overhead.
 		k := float64(t.K)
-		return (k*k)/64.0 + 0.15, (float64(t.K) + 4) / exactDepth * 2
+		return float64((k*k)/64.0) + 0.15, float64((float64(t.K)+4)/exactDepth) * 2
 	case axmult.Mitchell:
 		// Log/antilog shifters and one addition: ~35% of the array.
 		return 0.35, 0.75
@@ -171,14 +171,14 @@ func structuralCost(m axmult.Multiplier) (float64, float64) {
 	case axmult.Compressor42:
 		// Approximate compressors in k columns save ~30% of those
 		// columns' reduction cells.
-		saved := 0.3 * float64(t.ApproxCols) / 16 * (48.0 / exactCells)
-		return 1 - saved, 1 - 0.2*float64(t.ApproxCols)/16
+		saved := float64(0.3 * float64(t.ApproxCols) / 16 * (48.0 / exactCells))
+		return 1 - saved, 1 - float64(0.2*float64(t.ApproxCols)/16)
 	case axmult.ArrayMult:
 		if t.ApproxCols == 0 {
 			return 1, 1
 		}
 		// Approximate mirror-adder cells save ~30% area in their columns.
-		return 1 - 0.3*float64(t.ApproxCols)/16*(48.0/exactCells), 1
+		return 1 - float64(0.3*float64(t.ApproxCols)/16*(48.0/exactCells)), 1
 	}
 	return 0, 0
 }
@@ -194,7 +194,7 @@ func costDropColumns(v, h uint) float64 {
 			}
 		}
 	}
-	return float64(kept)/64*cellShare() + baseShare()
+	return float64(float64(kept)/64*cellShare()) + baseShare()
 }
 
 // cellShare is the fraction of exact-array area attributable to the
@@ -247,7 +247,7 @@ func InferenceEnergy(macs InferenceMACs, multName string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return float64(macs.Conv)*c.Energy + float64(macs.Dense)*1.0, nil
+	return float64(float64(macs.Conv)*c.Energy) + float64(macs.Dense)*1.0, nil
 }
 
 // TradeoffRow pairs a design's energy with an accuracy observation for

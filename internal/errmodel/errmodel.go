@@ -58,7 +58,7 @@ func Measure(m axmult.Multiplier) Metrics {
 			ae := math.Abs(e)
 			sumAbs += ae
 			sumSigned += e
-			sumSq += e * e
+			sumSq += float64(e * e)
 			if ae > wce {
 				wce = ae
 			}
@@ -81,7 +81,7 @@ func Measure(m axmult.Multiplier) Metrics {
 		WCEP: 100 * wce / MaxProduct,
 		MRE:  100 * sumRel / float64(relN),
 		Bias: mean,
-		Var:  sumSq/n - mean*mean,
+		Var:  float64(sumSq/n) - float64(mean*mean),
 		EP:   float64(errs) / n,
 	}
 }
@@ -104,7 +104,7 @@ func measureTable(name string, table []uint16) Metrics {
 			ae := math.Abs(e)
 			sumAbs += ae
 			sumSigned += e
-			sumSq += e * e
+			sumSq += float64(e * e)
 			if ae > wce {
 				wce = ae
 			}
@@ -127,7 +127,7 @@ func measureTable(name string, table []uint16) Metrics {
 		WCEP: 100 * wce / MaxProduct,
 		MRE:  100 * sumRel / float64(relN),
 		Bias: mean,
-		Var:  sumSq/n - mean*mean,
+		Var:  float64(sumSq/n) - float64(mean*mean),
 		EP:   float64(errs) / n,
 	}
 }
