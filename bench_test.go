@@ -506,11 +506,11 @@ func BenchmarkAttackPGDLinf(b *testing.B) {
 		b.Fatal(err)
 	}
 	atk := attack.ByName("PGD-linf")
-	rng := rand.New(rand.NewSource(1))
-	x, y := m.Test.X[0], m.Test.Y[0]
+	rngs := []*rand.Rand{rand.New(rand.NewSource(1))}
+	x, y := tensor.Stack(m.Test.X[:1]), m.Test.Y[:1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adv := atk.Perturb(m.Net, x, y, 0.1, rng)
+		adv := atk.PerturbBatch(m.Net, x, y, 0.1, rngs)
 		if adv.Len() != x.Len() {
 			b.Fatal("bad adv")
 		}

@@ -17,11 +17,11 @@
 // inexactness); the perturbed inputs are then replayed on AxDNN victims
 // by the harness in internal/core.
 //
-// Every attack also has a batched form (see BatchAttack / AsBatch):
-// gradient attacks craft whole batches per gradient step, decision
-// attacks keep their scalar query semantics behind a per-row adapter,
-// and both reproduce the scalar perturbations bit for bit under the
-// same per-sample seeds.
+// Every attack crafts whole batches (Attack.PerturbBatch) and every
+// model scores them (Model.LogitsBatch). Gradient attacks take one
+// batched gradient per step; decision attacks loop over the rows. Row r
+// consumes only its own rng stream, so a crafted batch is independent
+// of how the harness chunks it, bit for bit.
 package attack
 
 import (
@@ -31,19 +31,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// Model is the minimal classifier interface the decision-based attacks
-// need.
+// Model is a classifier that scores whole batches: LogitsBatch takes
+// [N, sampleShape...] and returns [N, classes]. Logits scores one
+// sample and must match row r of LogitsBatch bit for bit.
 type Model interface {
 	Logits(x *tensor.T) []float32
+	LogitsBatch(xs *tensor.T) *tensor.T
 }
 
-// GradModel additionally exposes the loss gradient w.r.t. the input,
-// as required by the gradient-based attacks. internal/nn networks
-// implement it.
+// GradModel additionally exposes the batched loss gradient w.r.t. the
+// input, as required by the gradient-based attacks. internal/nn
+// networks implement it.
 type GradModel interface {
 	Model
-	LossGrad(x *tensor.T, label int) (float32, *tensor.T)
+	LossGradBatch(xs *tensor.T, labels []int) ([]float32, *tensor.T)
 }
+
+// BatchModel is kept only because suitebench still names it; use Model.
+type BatchModel = Model
+
+// BatchGradModel is kept only because suitebench still names it; use GradModel.
+type BatchGradModel = GradModel
+
+// BatchAttack is kept only because suitebench still names it; use Attack.
+type BatchAttack = Attack
+
+// AsBatch is kept only because suitebench still calls it; it returns a.
+func AsBatch(a Attack) Attack { return a }
 
 // Norm identifies the distance metric bounding a perturbation.
 type Norm int
@@ -62,15 +76,18 @@ func (n Norm) String() string {
 	return "l2"
 }
 
-// Attack crafts an adversarial example for (x, label) within budget eps.
-// Implementations must not modify x and must be safe for concurrent use
-// with distinct rng instances. Gradient-based attacks require m to be a
-// GradModel and panic otherwise (a configuration bug, not a runtime
-// condition).
+// Attack crafts adversarial examples for the [N, sampleShape...] batch
+// xs with labels, each row within budget eps. rngs holds one
+// independent deterministic stream per row, and row r must consume
+// rngs[r] only, so the crafted rows do not depend on how the batch is
+// chunked. Implementations must not modify xs and must be safe for
+// concurrent use with distinct rng instances. Gradient-based attacks
+// require m to be a GradModel and panic otherwise (a configuration
+// bug, not a runtime condition).
 type Attack interface {
 	Name() string
 	Norm() Norm
-	Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T
+	PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T
 }
 
 // fooled reports whether m misclassifies x w.r.t. label.
@@ -78,13 +95,23 @@ func fooled(m Model, x *tensor.T, label int) bool {
 	return tensor.ArgMax(m.Logits(x)) != label
 }
 
-// mustGrad asserts the model supports gradients.
-func mustGrad(m Model, name string) GradModel {
+// requireGrad asserts the model supports batched gradients.
+func requireGrad(m Model, name string) GradModel {
 	g, ok := m.(GradModel)
 	if !ok {
 		panic("attack: " + name + " requires a gradient model (accurate float DNN)")
 	}
 	return g
+}
+
+// perturbRows crafts each row of xs independently with perturb, the
+// per-sample form of an attack that gains nothing from batching.
+func perturbRows(xs *tensor.T, labels []int, rngs []*rand.Rand, perturb func(x *tensor.T, label int, rng *rand.Rand) *tensor.T) *tensor.T {
+	out := tensor.New(xs.Shape...)
+	for r := 0; r < xs.Rows(); r++ {
+		copy(out.Row(r).Data, perturb(xs.Row(r), labels[r], rngs[r]).Data)
+	}
+	return out
 }
 
 // stepL2 moves x along the L2-normalised direction d by length alpha.
@@ -114,6 +141,13 @@ func uniformDir(shape []int, rng *rand.Rand) *tensor.T {
 	return d
 }
 
+// stepL2Rows applies stepL2 row by row with a shared step length.
+func stepL2Rows(x, d *tensor.T, alpha float64) {
+	for r := 0; r < x.Rows(); r++ {
+		stepL2(x.Row(r), d.Row(r), alpha)
+	}
+}
+
 // project applies the norm-appropriate projection of adv into the
 // eps-ball around x.
 func project(norm Norm, adv, x *tensor.T, eps float64) {
@@ -121,6 +155,16 @@ func project(norm Norm, adv, x *tensor.T, eps float64) {
 		tensor.ProjectLinf(adv, x, eps)
 	} else {
 		tensor.ProjectL2(adv, x, eps)
+	}
+}
+
+// projectRows applies the norm-appropriate per-row projection of adv
+// into the eps-ball around the matching row of x.
+func projectRows(norm Norm, adv, x *tensor.T, eps float64) {
+	if norm == Linf {
+		tensor.ProjectLinfRows(adv, x, eps)
+	} else {
+		tensor.ProjectL2Rows(adv, x, eps)
 	}
 }
 

@@ -28,69 +28,39 @@ func batchFixture(t *testing.T, n int) (GradModel, *tensor.T, []int, func() []*r
 	return m, tensor.Stack(xs), labels, rngs
 }
 
-// TestBatchedGradientAttacksMatchScalar is the seed-for-seed parity
-// test the batched engine rests on: PerturbBatch row r must equal the
-// scalar Perturb on sample r bit for bit, for every gradient attack
-// and both norms.
-func TestBatchedGradientAttacksMatchScalar(t *testing.T) {
+// perturbOne crafts a single sample as a batch of one.
+func perturbOne(a Attack, m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
+	return a.PerturbBatch(m, tensor.Stack([]*tensor.T{x}), []int{label}, eps, []*rand.Rand{rng}).Row(0)
+}
+
+// TestPerturbBatchChunkInvariant is the property core.Cache's chunked
+// crafting rests on: crafting 6 rows in one PerturbBatch call equals,
+// bit for bit, crafting them in chunks of 1, 2 and 3 rows with the
+// same per-row rng seeds. It covers every registered attack plus the
+// Restart and EOT wrappers.
+func TestPerturbBatchChunkInvariant(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 6)
-	for _, name := range []string{"FGM-l2", "FGM-linf", "BIM-l2", "BIM-linf", "PGD-l2", "PGD-linf", "MIFGSM-l2", "MIFGSM-linf"} {
-		atk := ByName(name)
-		b, ok := atk.(BatchAttack)
-		if !ok {
-			t.Fatalf("%s must implement BatchAttack natively", name)
+	atks := append(All(), NewRestart(NewPGD(Linf), 3), NewEOT(testSampler(m, "t"), Linf, 2), NewEOT(testSampler(m, "t"), L2, 2))
+	for _, atk := range atks {
+		eps := 1.0
+		if atk.Norm() == Linf {
+			eps = 0.2
 		}
-		adv := b.PerturbBatch(m, batch, labels, 0.2, mkRngs())
-		if !adv.SameShape(batch) {
-			t.Fatalf("%s batch shape %v != %v", name, adv.Shape, batch.Shape)
+		whole := atk.PerturbBatch(m, batch, labels, eps, mkRngs())
+		if !whole.SameShape(batch) {
+			t.Fatalf("%s batch shape %v != %v", atk.Name(), whole.Shape, batch.Shape)
 		}
-		scalarRngs := mkRngs()
-		for r := 0; r < batch.Rows(); r++ {
-			want := atk.Perturb(m, batch.Row(r), labels[r], 0.2, scalarRngs[r])
-			got := adv.Row(r)
-			for j := range want.Data {
-				if got.Data[j] != want.Data[j] {
-					t.Fatalf("%s sample %d pixel %d: batch %v != scalar %v",
-						name, r, j, got.Data[j], want.Data[j])
+		rngs := mkRngs()
+		for _, span := range [][2]int{{0, 1}, {1, 3}, {3, 6}} {
+			lo, hi := span[0], span[1]
+			part := atk.PerturbBatch(m, batch.RowView(lo, hi).Clone(), labels[lo:hi], eps, rngs[lo:hi])
+			want := whole.RowView(lo, hi).Data
+			for j, v := range part.Data {
+				if v != want[j] {
+					t.Fatalf("%s rows [%d,%d) value %d: chunked %v != whole %v", atk.Name(), lo, hi, j, v, want[j])
 				}
 			}
 		}
-	}
-}
-
-// TestAsBatchAdapterMatchesScalar: decision attacks go through the
-// scalar adapter and must likewise reproduce the scalar path exactly.
-func TestAsBatchAdapterMatchesScalar(t *testing.T) {
-	m, batch, labels, mkRngs := batchFixture(t, 5)
-	for _, name := range []string{"CR-l2", "RAG-l2", "RAU-l2", "RAU-linf"} {
-		b := AsBatch(ByName(name))
-		adv := b.PerturbBatch(m, batch, labels, 0.4, mkRngs())
-		scalarRngs := mkRngs()
-		for r := 0; r < batch.Rows(); r++ {
-			want := ByName(name).Perturb(m, batch.Row(r), labels[r], 0.4, scalarRngs[r])
-			got := adv.Row(r)
-			for j := range want.Data {
-				if got.Data[j] != want.Data[j] {
-					t.Fatalf("%s sample %d diverged from scalar", name, r)
-				}
-			}
-		}
-	}
-}
-
-// TestAsBatchIdentity: AsBatch must hand back native BatchAttack
-// implementations unchanged instead of wrapping them.
-func TestAsBatchIdentity(t *testing.T) {
-	fgm := NewFGM(Linf)
-	if AsBatch(fgm) != BatchAttack(fgm) {
-		t.Fatal("AsBatch re-wrapped a native BatchAttack")
-	}
-	cr := NewCR()
-	if _, ok := AsBatch(cr).(*scalarBatch); !ok {
-		t.Fatal("AsBatch must adapt scalar-only attacks")
-	}
-	if AsBatch(cr).Name() != cr.Name() {
-		t.Fatal("adapter must preserve the attack identity")
 	}
 }
 
@@ -100,7 +70,7 @@ func TestBatchNormBudgetsRespected(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 5)
 	const eps = 0.3
 	for _, name := range []string{"FGM-l2", "BIM-linf", "PGD-l2", "PGD-linf", "RAU-linf"} {
-		adv := AsBatch(ByName(name)).PerturbBatch(m, batch, labels, eps, mkRngs())
+		adv := ByName(name).PerturbBatch(m, batch, labels, eps, mkRngs())
 		d := tensor.Sub(adv, batch)
 		var norms []float64
 		if ByName(name).Norm() == Linf {
@@ -120,7 +90,7 @@ func TestBatchNormBudgetsRespected(t *testing.T) {
 func TestBatchZeroEps(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 4)
 	for _, name := range []string{"PGD-linf", "CR-l2"} {
-		adv := AsBatch(ByName(name)).PerturbBatch(m, batch, labels, 0, mkRngs())
+		adv := ByName(name).PerturbBatch(m, batch, labels, 0, mkRngs())
 		for j := range batch.Data {
 			if adv.Data[j] != batch.Data[j] {
 				t.Fatalf("%s modified the batch at eps=0", name)
@@ -129,12 +99,13 @@ func TestBatchZeroEps(t *testing.T) {
 	}
 }
 
-// TestBatchInputNeverMutated mirrors the scalar contract.
+// TestBatchInputNeverMutated: crafting must leave the input batch as
+// it was.
 func TestBatchInputNeverMutated(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 4)
 	orig := batch.Clone()
 	for _, name := range []string{"FGM-linf", "PGD-l2", "RAU-linf"} {
-		AsBatch(ByName(name)).PerturbBatch(m, batch, labels, 0.3, mkRngs())
+		ByName(name).PerturbBatch(m, batch, labels, 0.3, mkRngs())
 		for j := range batch.Data {
 			if batch.Data[j] != orig.Data[j] {
 				t.Fatalf("%s mutated its input batch", name)

@@ -27,24 +27,27 @@ func (a *CR) Name() string { return "CR-l2" }
 // Norm implements Attack.
 func (a *CR) Norm() Norm { return L2 }
 
-// Perturb implements Attack.
-func (a *CR) Perturb(_ Model, x *tensor.T, _ int, eps float64, _ *rand.Rand) *tensor.T {
-	adv := x.Clone()
-	d := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		d.Data[i] = 0.5 - v
-	}
-	n := d.L2Norm()
-	if n == 0 {
+// PerturbBatch implements Attack, blending each row on its own. CR
+// draws no randomness and makes no queries, so m and rngs are unused.
+func (a *CR) PerturbBatch(_ Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
+	return perturbRows(xs, labels, rngs, func(x *tensor.T, _ int, _ *rand.Rand) *tensor.T {
+		adv := x.Clone()
+		d := tensor.New(x.Shape...)
+		for i, v := range x.Data {
+			d.Data[i] = 0.5 - v
+		}
+		n := d.L2Norm()
+		if n == 0 {
+			return adv
+		}
+		t := eps / n
+		if t > 1 {
+			t = 1 // fully gray; cannot move further along this direction
+		}
+		adv.AddScaled(float32(t), d)
+		adv.Clamp(0, 1)
 		return adv
-	}
-	t := eps / n
-	if t > 1 {
-		t = 1 // fully gray; cannot move further along this direction
-	}
-	adv.AddScaled(float32(t), d)
-	adv.Clamp(0, 1)
-	return adv
+	})
 }
 
 // noiseAttack implements the repeated additive noise family: sample a
@@ -76,8 +79,17 @@ func (a *noiseAttack) Name() string { return a.name }
 // Norm implements Attack.
 func (a *noiseAttack) Norm() Norm { return a.norm }
 
-// Perturb implements Attack.
-func (a *noiseAttack) Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
+// PerturbBatch implements Attack: each row repeats its own noise draws
+// from rngs[r] and queries m one sample at a time.
+func (a *noiseAttack) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
+	return perturbRows(xs, labels, rngs, func(x *tensor.T, label int, rng *rand.Rand) *tensor.T {
+		return a.perturb(m, x, label, eps, rng)
+	})
+}
+
+// perturb crafts one sample: the first of repeats noise draws that
+// fools m, or the last draw.
+func (a *noiseAttack) perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
 	if eps == 0 {
 		return x.Clone()
 	}

@@ -35,7 +35,7 @@ const digestFile = "testdata/crafted_digests.txt"
 const weightsKey = "weights:lenet5-digits"
 
 // TestCraftedDigests pins the exact bytes every attack crafts on the
-// committed lenet5-digits weights: 16 test samples, eps 0.1 (linf) or
+// zoo's lenet5-digits weights: 16 test samples, eps 0.1 (linf) or
 // 1.0 (l2), seed 3, crafted through core.Cache.CraftedBatch so rows
 // are seeded and chunked the way the harness does it. It covers every
 // registered attack plus the two configuration-only ones, a 3-restart

@@ -22,13 +22,22 @@ func (b *biasModel) Logits(x *tensor.T) []float32 {
 	return l
 }
 
+func (b *biasModel) LogitsBatch(xs *tensor.T) *tensor.T {
+	out := b.base.LogitsBatch(xs)
+	for r := 0; r < out.Rows(); r++ {
+		out.Row(r).Data[b.class] += b.boost
+	}
+	return out
+}
+
 // fakeSampler draws uniformly from a fixed pool.
 type fakeSampler struct {
 	pool []Model
 	key  string
 }
 
-func (s *fakeSampler) Logits(x *tensor.T) []float32 { return s.pool[0].Logits(x) }
+func (s *fakeSampler) Logits(x *tensor.T) []float32       { return s.pool[0].Logits(x) }
+func (s *fakeSampler) LogitsBatch(xs *tensor.T) *tensor.T { return s.pool[0].LogitsBatch(xs) }
 func (s *fakeSampler) SampleModel(rng *rand.Rand) Model {
 	return s.pool[rng.Intn(len(s.pool))]
 }
@@ -57,7 +66,7 @@ func TestEOTZeroEpsIdentity(t *testing.T) {
 	m, set := trainedModel(t)
 	a := NewEOT(testSampler(m, "t"), Linf, 3)
 	x, y := correctSample(t, m, set)
-	adv := a.Perturb(m, x, y, 0, rand.New(rand.NewSource(1)))
+	adv := perturbOne(a, m, x, y, 0, rand.New(rand.NewSource(1)))
 	for i := range x.Data {
 		if adv.Data[i] != x.Data[i] {
 			t.Fatal("EOT at eps=0 must be the identity")
@@ -103,8 +112,8 @@ func TestEOTBudgetAndBox(t *testing.T) {
 }
 
 // TestEOTBatchMatchesScalar pins the chunk-independence contract every
-// attack carries: PerturbBatch row r equals Perturb on sample r under
-// the same rng seed, bit for bit.
+// attack carries: PerturbBatch row r equals crafting sample r alone, as
+// a batch of one under the same rng seed, bit for bit.
 func TestEOTBatchMatchesScalar(t *testing.T) {
 	m, set := trainedModel(t)
 	a := NewEOT(testSampler(m, "t"), Linf, 3)
@@ -112,13 +121,13 @@ func TestEOTBatchMatchesScalar(t *testing.T) {
 	n := 5
 	xs := tensor.Stack(set.X[:n])
 	batch := a.PerturbBatch(m, xs, set.Y[:n], eps, eotRngs(n, 17))
-	scalarRngs := eotRngs(n, 17)
+	oneRngs := eotRngs(n, 17)
 	for r := 0; r < n; r++ {
-		adv := a.Perturb(m, set.X[r], set.Y[r], eps, scalarRngs[r])
+		adv := perturbOne(a, m, set.X[r], set.Y[r], eps, oneRngs[r])
 		br := batch.Row(r)
 		for i := range adv.Data {
 			if adv.Data[i] != br.Data[i] {
-				t.Fatalf("row %d diverges from scalar crafting at %d: %v != %v", r, i, br.Data[i], adv.Data[i])
+				t.Fatalf("row %d diverges from its batch of one at %d: %v != %v", r, i, br.Data[i], adv.Data[i])
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // SetAttack is a set-level attack: it crafts a single image-agnostic
 // perturbation over the whole sample set at once, so it cannot be
-// chunked per row the way BatchAttack implementations can. The
+// chunked per row the way Attack.PerturbBatch can. The
 // harness in internal/core crafts one perturbation per (attack, eps,
 // seed) cell — a single PerturbSet call over the full set — caches
 // it, and replays the perturbed batch on every victim.
@@ -74,7 +74,7 @@ const uapChunk = 32
 // the next chunk boundary, returning a partial delta the caller must
 // discard.
 func (a *UAP) Craft(ctx context.Context, m Model, xs *tensor.T, labels []int, eps float64, rng *rand.Rand) *tensor.T {
-	g := mustBatchGrad(m, a.Name())
+	g := requireGrad(m, a.Name())
 	shape := xs.Shape[1:]
 	delta := tensor.New(shape...)
 	if eps == 0 {
@@ -140,13 +140,11 @@ func (a *UAP) PerturbSet(ctx context.Context, m Model, xs *tensor.T, labels []in
 	return out
 }
 
-// Perturb implements Attack: the degenerate set of one sample, so the
-// scalar protocol stays available (and pins PerturbSet's semantics on
-// singleton sets).
-func (a *UAP) Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
-	if eps == 0 {
-		return x.Clone()
-	}
-	adv := a.PerturbSet(context.Background(), m, tensor.Stack([]*tensor.T{x}), []int{label}, eps, rng)
-	return adv.Row(0).Clone()
+// PerturbBatch implements Attack per row: row r is the universal
+// perturbation of the one-sample set {row r}, crafted with rngs[r].
+// The harness crafts UAP through PerturbSet instead (see SetAttack).
+func (a *UAP) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
+	return perturbRows(xs, labels, rngs, func(x *tensor.T, label int, rng *rand.Rand) *tensor.T {
+		return a.PerturbSet(context.Background(), m, tensor.Stack([]*tensor.T{x}), []int{label}, eps, rng)
+	})
 }

@@ -9,18 +9,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestUAPSingletonParity pins the scalar protocol: Perturb is
-// PerturbSet over the one-sample set, bit for bit.
+// TestUAPSingletonParity pins UAP's per-row PerturbBatch: a batch of
+// one is PerturbSet over the one-sample set, bit for bit.
 func TestUAPSingletonParity(t *testing.T) {
 	m, set := trainedModel(t)
 	x, y := correctSample(t, m, set)
 	for _, n := range []Norm{L2, Linf} {
 		a := NewUAP(n)
-		scalar := a.Perturb(m, x, y, 0.3, rand.New(rand.NewSource(11)))
+		one := perturbOne(a, m, x, y, 0.3, rand.New(rand.NewSource(11)))
 		batch := a.PerturbSet(context.Background(), m, tensor.Stack([]*tensor.T{x}), []int{y}, 0.3, rand.New(rand.NewSource(11)))
-		for i := range scalar.Data {
-			if scalar.Data[i] != batch.Row(0).Data[i] {
-				t.Fatalf("%s scalar/set crafting diverged at pixel %d", a.Name(), i)
+		for i := range one.Data {
+			if one.Data[i] != batch.Row(0).Data[i] {
+				t.Fatalf("%s batch/set crafting diverged at pixel %d", a.Name(), i)
 			}
 		}
 	}
@@ -104,7 +104,8 @@ func TestUAPChunkIndependence(t *testing.T) {
 }
 
 // TestRestartMatchesScalar is the wrapper's parity contract: batched
-// restarted PGD row r equals the scalar restarted PGD on sample r.
+// restarted PGD row r equals restarted PGD on sample r alone, where
+// every restart of the row is its own.
 func TestRestartMatchesScalar(t *testing.T) {
 	m, set := trainedModel(t)
 	xs := tensor.Stack(set.X[:6])
@@ -118,13 +119,13 @@ func TestRestartMatchesScalar(t *testing.T) {
 		return out
 	}
 	adv := a.PerturbBatch(m, xs, labels, 0.15, mkRngs())
-	scalarRngs := mkRngs()
+	oneRngs := mkRngs()
 	for r := 0; r < xs.Rows(); r++ {
-		want := a.Perturb(m, xs.Row(r), labels[r], 0.15, scalarRngs[r])
+		want := perturbOne(a, m, xs.Row(r), labels[r], 0.15, oneRngs[r])
 		got := adv.Row(r)
 		for j := range want.Data {
 			if got.Data[j] != want.Data[j] {
-				t.Fatalf("restarted PGD sample %d diverged from scalar at pixel %d", r, j)
+				t.Fatalf("restarted PGD sample %d diverged from its batch of one at pixel %d", r, j)
 			}
 		}
 	}
@@ -162,10 +163,10 @@ func TestRestartAtLeastAsStrong(t *testing.T) {
 		if tensor.ArgMax(m.Logits(x)) != y {
 			continue
 		}
-		if fooled(m, plain.Perturb(m, x, y, 0.1, rand.New(rand.NewSource(int64(i)))), y) {
+		if fooled(m, perturbOne(plain, m, x, y, 0.1, rand.New(rand.NewSource(int64(i)))), y) {
 			plainFooled++
 		}
-		if fooled(m, restarted.Perturb(m, x, y, 0.1, rand.New(rand.NewSource(int64(i)))), y) {
+		if fooled(m, perturbOne(restarted, m, x, y, 0.1, rand.New(rand.NewSource(int64(i)))), y) {
 			restartFooled++
 		}
 	}
@@ -201,12 +202,12 @@ func TestConfigKeyDistinguishesNewKnobs(t *testing.T) {
 	if ConfigKey(r2) == ConfigKey(NewPGD(Linf)) {
 		t.Fatal("restarted PGD must not share plain PGD's cache identity")
 	}
-	// The AsBatch adapter (used by NewRestart for scalar-only inner
-	// attacks) must forward the inner ConfigKey, not degrade to Name.
+	// The wrapper must forward the inner attack's ConfigKey, not
+	// degrade it to Name.
 	tuned := NewUAP(Linf)
 	tuned.Iters = 3
 	if ConfigKey(NewRestart(tuned, 2)) == ConfigKey(NewRestart(NewUAP(Linf), 2)) {
-		t.Fatal("restart wrapper lost the inner attack's tuning knobs through AsBatch")
+		t.Fatal("restart wrapper lost the inner attack's tuning knobs")
 	}
 	seen := map[string]bool{}
 	for _, a := range All() {
@@ -224,6 +225,8 @@ type alwaysRight struct{}
 
 func (alwaysRight) Logits(*tensor.T) []float32 { return []float32{1, 0} }
 
+func (alwaysRight) LogitsBatch(xs *tensor.T) *tensor.T { return classZero(xs.Rows()) }
+
 // TestNoiseBudgetExhausted: when no repeat fools the model, RAG/RAU
 // must return the *last* sampled perturbation, deterministically
 // under a fixed seed, with the budget fully spent.
@@ -232,8 +235,8 @@ func TestNoiseBudgetExhausted(t *testing.T) {
 	const eps = 0.2
 	for _, atk := range []Attack{NewRAG(), NewRAU(L2), NewRAU(Linf)} {
 		a := atk.(*noiseAttack)
-		adv := atk.Perturb(alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
-		again := atk.Perturb(alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
+		adv := perturbOne(atk, alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
+		again := perturbOne(atk, alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
 		for i := range adv.Data {
 			if adv.Data[i] != again.Data[i] {
 				t.Fatalf("%s budget-exhausted path not deterministic", atk.Name())
@@ -281,7 +284,7 @@ func TestNoiseResamplesZeroDirections(t *testing.T) {
 				return d
 			}}
 		x := tensor.FromSlice([]float32{0.5, 0.5}, 2)
-		adv := a.Perturb(alwaysRight{}, x, 0, 0.25, rand.New(rand.NewSource(1)))
+		adv := perturbOne(a, alwaysRight{}, x, 0, 0.25, rand.New(rand.NewSource(1)))
 		if draws != 2 {
 			t.Fatalf("%s: zero direction drawn %d times, want a resample (2 draws)", norm, draws)
 		}

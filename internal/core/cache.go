@@ -390,7 +390,6 @@ func (c *Cache) CraftedBatch(ctx context.Context, src *nn.Network, test *dataset
 	}
 
 	n := test.Len()
-	batk := attack.AsBatch(atk)
 	out := tensor.New(append([]int{n}, test.X[0].Shape...)...)
 	runChunked(ctx, n, opts, func(lo, hi int) {
 		xs := tensor.Stack(test.X[lo:hi])
@@ -401,7 +400,7 @@ func (c *Cache) CraftedBatch(ctx context.Context, src *nn.Network, test *dataset
 			// and freshly crafted batches agree bit for bit.
 			rngs[i] = rand.New(rand.NewSource(opts.Seed + int64(lo+i)*1_000_003 + epsQ*7_919))
 		}
-		crafted := batk.PerturbBatch(src, xs, test.Y[lo:hi], eps, rngs)
+		crafted := atk.PerturbBatch(src, xs, test.Y[lo:hi], eps, rngs)
 		copy(out.RowView(lo, hi).Data, crafted.Data)
 	})
 	if err := ctx.Err(); err != nil {
@@ -429,10 +428,10 @@ func (c *Cache) cleanBatch(test *dataset.Set) (*tensor.T, bool, error) {
 	return c.storeCrafted(key, tensor.Stack(test.X)), false, nil
 }
 
-// Predictions scores one victim over the crafted batch, using the
-// batched path when the model supports it and memoising per (victim,
-// batch). hit reports whether the predictions came from the cache;
-// cancellation behaves as in CraftedBatch.
+// Predictions scores one victim over the crafted batch with
+// LogitsBatch, memoising per (victim, batch). hit reports whether the
+// predictions came from the cache; cancellation behaves as in
+// CraftedBatch.
 func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, opts Options) (preds []int, hit bool, err error) {
 	key := predKey{batch: adv}
 	if mk, ok := m.(ModelKeyer); ok {
@@ -478,15 +477,8 @@ func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, 
 	}
 	n := adv.Rows()
 	preds = make([]int, n)
-	bm, batched := m.(attack.BatchModel)
 	runChunked(ctx, n, opts, func(lo, hi int) {
-		if batched {
-			copy(preds[lo:hi], tensor.ArgMaxRows(bm.LogitsBatch(adv.RowView(lo, hi))))
-		} else {
-			for i := lo; i < hi; i++ {
-				preds[i] = tensor.ArgMax(m.Logits(adv.Row(i)))
-			}
-		}
+		copy(preds[lo:hi], tensor.ArgMaxRows(m.LogitsBatch(adv.RowView(lo, hi))))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, false, err

@@ -84,8 +84,8 @@ func (n *Network) Forward(x *tensor.T) *tensor.T {
 }
 
 // Logits runs Forward on one sample and returns the logits as a plain
-// slice. Together with LossGrad it satisfies the attack package's model
-// interfaces.
+// slice. With LogitsBatch and LossGradBatch it satisfies the attack
+// package's model interfaces.
 func (n *Network) Logits(x *tensor.T) []float32 {
 	return n.Forward(x).Data
 }
@@ -118,7 +118,8 @@ func (n *Network) ForwardTrace(x *tensor.T) []*tensor.T {
 // LossGrad computes the softmax cross-entropy loss for (x, label), and
 // the gradient of that loss w.r.t. x. Weight gradients are NOT
 // accumulated — the call is read-only on the network and safe for
-// concurrent use (gradient attacks hammer this from many goroutines).
+// concurrent use. It is the per-sample reference the LossGradBatch
+// parity tests check against.
 func (n *Network) LossGrad(x *tensor.T, label int) (float32, *tensor.T) {
 	p := n.getPass(false, false)
 	logits := n.forward(x, p)

@@ -152,23 +152,10 @@ type Predictor interface {
 }
 
 // Accuracy evaluates pred on up to limit samples of set (0 = all) in
-// parallel and returns the fraction correct. Both float nn networks
-// and compiled axnn networks are concurrency-safe, so a shared
-// predictor is fine.
+// parallel and returns the fraction correct. pred must be safe for
+// concurrent Logits calls, as float nn and compiled axnn networks are.
 func Accuracy(pred Predictor, set *dataset.Set, limit int) float64 {
 	s := set.Slice(limit)
-	return accuracyParallel(func() Predictor { return pred }, s)
-}
-
-// AccuracyCloned is Accuracy for predictors whose Logits is not
-// concurrency-safe; factory must return a fresh predictor per worker.
-// The in-tree models no longer need it (stateless inference) — it
-// remains for external Predictor implementations with per-call state.
-func AccuracyCloned(factory func() Predictor, set *dataset.Set, limit int) float64 {
-	return accuracyParallel(factory, set.Slice(limit))
-}
-
-func accuracyParallel(factory func() Predictor, s *dataset.Set) float64 {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > s.Len() {
 		workers = s.Len()
@@ -182,9 +169,8 @@ func accuracyParallel(factory func() Predictor, s *dataset.Set) float64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p := factory()
 			for i := w; i < s.Len(); i += workers {
-				if tensor.ArgMax(p.Logits(s.X[i])) == s.Y[i] {
+				if tensor.ArgMax(pred.Logits(s.X[i])) == s.Y[i] {
 					correct[w]++
 				}
 			}
